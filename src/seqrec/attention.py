@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 __all__ = [
     "AttentionMatrix",
@@ -32,24 +32,21 @@ class AttentionMatrix:
     weights: np.ndarray = field(repr=False)
 
     def dense(self):
-        out = np.zeros((self.size, self.size))
-        for off, a in enumerate(self.weights):
-            out += np.diag(np.full(self.size - off, a), -off)
-        return out
+        return toeplitz(self.weights, np.zeros(self.size))
 
     def apply(self, x):
-        """Compute A @ x for a vector or matrix x."""
+        """Compute A @ x for a vector, or for a matrix by one Toeplitz product."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.convolve(self.weights, x)[: self.size]
-        return np.apply_along_axis(lambda col: np.convolve(self.weights, col)[: self.size], 0, x)
+        return self.dense() @ x
 
     def apply_transpose(self, x):
-        """Compute A.T @ x for a vector or matrix x."""
+        """Compute A.T @ x for a vector, or for a matrix by one Toeplitz product."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.convolve(self.weights, x[::-1])[: self.size][::-1]
-        return np.apply_along_axis(self.apply_transpose, 0, x)
+        return self.dense().T @ x
 
     def solve_transpose(self, b):
         """Solve A.T y = b by back-substitution (no explicit inverse)."""

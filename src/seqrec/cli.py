@@ -13,6 +13,7 @@ import yaml
 from . import data as dp
 from .attention import build_attention
 from .evaluation import GridSpace, evaluate, grid_search
+from .linalg import ConvergenceError
 from .models import (
     GlobalAttentionTrainer,
     LocalAttentionTrainer,
@@ -330,8 +331,8 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 3
-    except (dp.DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (dp.DataError, ValueError, ConvergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

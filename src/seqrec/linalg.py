@@ -38,8 +38,10 @@ class ImplicitMatrix:
     rmatvec: callable
 
     def to_linear_operator(self):
-        return LinearOperator(shape=self.shape, matvec=self.matvec,
-                              rmatvec=self.rmatvec, dtype=float)
+        """scipy view; solvers may pass (n, 1) columns, which reach the closures 1-D."""
+        return LinearOperator(shape=self.shape, dtype=float,
+                              matvec=lambda x: self.matvec(np.ravel(x)),
+                              rmatvec=lambda y: self.rmatvec(np.ravel(y)))
 
     def materialize(self):
         """Dense matrix built column-by-column (or row-by-row, whichever is smaller)."""

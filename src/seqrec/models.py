@@ -310,92 +310,90 @@ def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
 # locally attentive tensor factorization over the hankelized tensor
 
 
-def _window_row_cache(w_s, k):
-    """K per-offset row blocks of the one-hot Hankel matrix times w_s.
+def _shift_stack(w, k):
+    """K shifted copies of a window factor: ``out[q][j] = w[q - j]`` when that
+    index is valid, 0 otherwise (shape K x (K - len(w) + 1) x r).
 
-    ``cache[q][l] = w_s[q - l]`` when that index is valid, 0 otherwise.
+    For ``w = W_S`` slice q is the one-hot Hankel matrix at skew offset q times
+    W_S; for ``w = W_A`` it is the transposed Hankel matrix times W_A.
     """
-    k_s, r = w_s.shape
-    k_l = k - k_s + 1
-    out = np.zeros((k, k_l, r))
-    for l in range(k_l):
-        out[l:l + k_s, l, :] = w_s
+    n_rows, r = w.shape
+    out = np.zeros((k, k - n_rows + 1, r))
+    for j in range(k - n_rows + 1):
+        out[j:j + n_rows, j, :] = w
     return out
 
 
-def _window_col_cache(w_a, k):
-    """Transposed variant: ``cache[q][s] = w_a[q - s]`` when valid, 0 otherwise."""
-    k_l, r = w_a.shape
-    k_s = k - k_l + 1
-    out = np.zeros((k, k_s, r))
-    for s in range(k_s):
-        out[s:s + k_l, s, :] = w_a
-    return out
+def _position_cores(tensor, dvals, u, v):
+    """Per-position compressed slices ``C[q] = V^T diag(d) X_q U`` (K x r2 x r1).
+
+    Entries are grouped by position and each core is one small product over
+    the entries at that position, so no nnz x r temporary is formed.
+    """
+    ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
+    k = tensor.shape[2]
+    order = np.argsort(kk, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(kk, minlength=k))))
+    cores = np.zeros((k, v.shape[1], u.shape[1]))
+    for q in range(k):
+        sel = order[bounds[q]:bounds[q + 1]]
+        cores[q] = (v[jj[sel]] * dvals[sel, None]).T @ u[ii[sel]]
+    return cores
 
 
 def la_mode_operator(tensor, factors, attention, cache, mode):
-    """Implicit compressed unfolding of the weighted hankelized tensor.
+    """Compressed unfolding of the weighted hankelized tensor.
 
     The two window dimensions are virtual: every COO entry addresses the single
-    non-zero skew diagonal of its one-hot Hankel slice, served from per-offset
-    caches so no Hankel matrix is ever materialized.
+    non-zero skew diagonal of its one-hot Hankel slice, so no Hankel matrix is
+    ever materialized. Modes 1/2 contract the skew blocks with the input once
+    per position and then touch each entry once (scatter or gather). Modes 3/4
+    reduce the entries to per-position cores once and keep the explicit
+    window x r4*r2*r1 (or offset x r3*r2*r1) matrix. Each matvec/rmatvec costs
+    O(nnz + n*K*r + K*r3*r4*r) for modes 1/2 and one dense product for 3/4.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
     scaling = factors["scaling"]
     dvals = scaling.d[jj]
-    k_l = attention.size
-    k_s = k - k_l + 1
     if mode in (1, 2):
         if cache is None or not cache.matches(factors["W_A"], factors["W_S"]):
             raise ValueError("stale skew-block cache: factors changed since it was built")
-        blocks = cache.blocks
-        r3, r4 = blocks.shape[1], blocks.shape[2]
+        _, r3, r4 = cache.blocks.shape
+        # blocks[q] transposed and flattened to the (r4, r3) column order of z
+        flat_blocks = cache.blocks.transpose(0, 2, 1).reshape(k, r4 * r3)
         other = factors["V"] if mode == 1 else factors["U"]
-        along = ii if mode == 1 else jj
+        along, across = (ii, jj) if mode == 1 else (jj, ii)
         out_dim = m if mode == 1 else n
-        r_other = other.shape[1]
+        other_dim, r_other = other.shape
+        cell = across * k + kk
 
         def matvec(z):
-            zc = np.asarray(z).reshape(r4, r3, r_other)
-            zo = np.tensordot(zc, other[jj if mode == 1 else ii], axes=([2], [1]))
-            contrib = dvals * np.einsum("eab,bae->e", blocks[kk], zo)
-            return np.bincount(along, weights=contrib, minlength=out_dim)
+            per_position = flat_blocks @ np.reshape(z, (r4 * r3, r_other))
+            g = other @ per_position.T
+            return np.bincount(along, weights=dvals * g.ravel()[cell], minlength=out_dim)
 
-        def rmatvec(u):
-            w = np.asarray(u)[along] * dvals
-            rows = other[jj if mode == 1 else ii]
-            return np.einsum("e,eab,ec->bac", w, blocks[kk], rows).ravel()
+        def rmatvec(y):
+            h = np.bincount(cell, weights=np.asarray(y)[along] * dvals,
+                            minlength=other_dim * k).reshape(other_dim, k)
+            return (flat_blocks.T @ (h.T @ other)).ravel()
 
         return ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
     if mode in (3, 4):
-        u, v = factors["U"], factors["V"]
-        r1, r2 = u.shape[1], v.shape[1]
+        cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
+        shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
+        out_dim = shift.shape[1]
+        unfolding = np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
         if mode == 3:
-            w_s = factors["W_S"]
-            rw = w_s.shape[1]
-            window = _window_row_cache(w_s, k)
-            out_dim = k_l
-        else:
-            w_a = factors["W_A"]
-            rw = w_a.shape[1]
-            window = _window_col_cache(w_a, k)
-            out_dim = k_s
+            unfolding = attention.apply_transpose(unfolding)
 
         def matvec(z):
-            zc = np.asarray(z).reshape(rw, r2, r1)
-            g = np.einsum("dbc,eb,ec->ed", zc, v[jj], u[ii])
-            s = np.einsum("e,eld,ed->l", dvals, window[kk], g)
-            if mode == 3:
-                s = attention.apply_transpose(s)
-            return s
+            return unfolding @ z
 
-        def rmatvec(uu):
-            b = attention.apply(np.asarray(uu)) if mode == 3 else np.asarray(uu)
-            coeff = np.einsum("kld,l->kd", window, b)
-            return np.einsum("e,ed,eb,ec->dbc", dvals, coeff[kk], v[jj], u[ii]).ravel()
+        def rmatvec(y):
+            return unfolding.T @ y
 
-        return ImplicitMatrix(shape=(out_dim, rw * r2 * r1), matvec=matvec, rmatvec=rmatvec)
+        return ImplicitMatrix(shape=unfolding.shape, matvec=matvec, rmatvec=rmatvec)
     raise ValueError(f"mode must be 1..4, got {mode}")
 
 

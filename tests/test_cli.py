@@ -5,8 +5,10 @@ import json
 import pytest
 import yaml
 
+import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
 from seqrec.cli import main
+from seqrec.linalg import ConvergenceError
 
 TOY_ROWS = [
     (0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
@@ -128,6 +130,23 @@ class TestTune:
     def test_without_prepare_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "tune"]) == 3
+
+    @pytest.mark.parametrize("error", [
+        ConvergenceError("truncated SVD failed to converge"),
+        MemoryError(),
+    ])
+    def test_solver_failure_exit_1(self, tmp_path, monkeypatch, capsys, error):
+        cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(seqrec.models, "truncated_svd", failing)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tune"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestFinalAndReport:

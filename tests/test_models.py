@@ -17,11 +17,14 @@ from oracles import (
     random_tensor,
 )
 from helpers import make_log
+import seqrec.linalg
 from seqrec.attention import build_attention, hankelize
 from seqrec.data import build_positional_tensor
-from seqrec.linalg import random_orthonormal, skew_block_cache
+from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
 from seqrec.models import (
     ColdUserError,
+    GlobalAttentionTrainer,
+    LocalAttentionTrainer,
     build_scaling,
     ga_mode_operator,
     la_mode_operator,
@@ -204,6 +207,116 @@ class TestLocalModeOperators:
         with pytest.raises(ValueError, match="mode"):
             la_mode_operator(tensor, {"scaling": build_scaling([1, 1, 1], 1)},
                              build_attention(2, f=0.0), None, 0)
+
+
+def _la_operator_case(m, n, k, window, ranks, seed):
+    """A random LA operator setup: tensor, factors, attention and the dense oracle."""
+    tensor = random_tensor(m, n, k, seed=seed, min_len=2)
+    r1, r2, r3, r4 = ranks
+    rng = np.random.default_rng(seed)
+    u, v, w_l, w_s = _rand_factors(rng, [(m, r1), (n, r2), (window, r3), (k - window + 1, r4)])
+    att = build_attention(window, f=0.7)
+    scaling = build_scaling(tensor.item_counts(), 0.0)
+    factors = {"U": u, "V": v, "W_A": att.apply(w_l), "W_S": w_s, "scaling": scaling}
+    refs = dense_la_unfoldings(tensor, scaling.d, att, window, u, v, w_l, w_s)
+    return tensor, factors, att, refs, rng
+
+
+class TestLongWindowOperators:
+    """Windows longer than DENSE_SVD_DIM: the explicit mode-3 unfolding is wide
+    enough for the iterative solver."""
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    def test_matches_dense_oracle(self, mode):
+        window = 34
+        assert window > DENSE_SVD_DIM
+        tensor, factors, att, refs, rng = _la_operator_case(9, 7, 40, window, (3, 2, 2, 3), 5)
+        cache = skew_block_cache(factors["W_A"], factors["W_S"]) if mode in (1, 2) else None
+        op = la_mode_operator(tensor, factors, att, cache, mode)
+        ref = refs[mode]
+        assert np.abs(op.materialize() - ref).max() < 1e-12
+        probe = rng.standard_normal(op.shape[0])
+        assert np.allclose(op.rmatvec(probe), ref.T @ probe, atol=1e-12)
+
+
+def _column_operators():
+    """Every GA and LA operator on small random data, with its dense oracle."""
+    tensor = random_tensor(7, 6, 5, seed=2)
+    rng = np.random.default_rng(3)
+    u, v, w = _rand_factors(rng, [(7, 3), (6, 2), (5, 2)])
+    att = build_attention(5, f=1.0)
+    scaling = build_scaling(tensor.item_counts(), 0.5)
+    ga_refs = dense_ga_unfoldings(tensor, scaling.d, att, u, v, w)
+    cases = {f"ga{mode}": (ga_mode_operator(tensor, {"U": u, "V": v, "W_A": att.apply(w)},
+                                            att, scaling, mode), ga_refs[mode])
+             for mode in (1, 2, 3)}
+    tensor, factors, att, refs, _ = _la_operator_case(6, 5, 6, 3, (2, 3, 2, 2), 4)
+    cache = skew_block_cache(factors["W_A"], factors["W_S"])
+    cases.update({f"la{mode}": (la_mode_operator(tensor, factors, att, cache, mode), refs[mode])
+                  for mode in (1, 2, 3, 4)})
+    return cases
+
+
+@pytest.mark.parametrize("name", ["ga1", "ga2", "ga3", "la1", "la2", "la3", "la4"])
+def test_column_inputs_through_linear_operator(name):
+    # iterative solvers hand (n, 1) columns to the scipy view of an operator
+    op, ref = _column_operators()[name]
+    lin = op.to_linear_operator()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((ref.shape[1], 1))
+    y = rng.standard_normal((ref.shape[0], 1))
+    assert lin.matvec(x).shape == (ref.shape[0], 1)
+    assert np.allclose(lin.matvec(x), ref @ x, atol=1e-12)
+    assert np.allclose(lin.rmatvec(y), ref.T @ y, atol=1e-12)
+    xs = rng.standard_normal((ref.shape[1], 3))
+    ys = rng.standard_normal((ref.shape[0], 3))
+    assert np.allclose(lin.matmat(xs), ref @ xs, atol=1e-12)
+    assert np.allclose(lin.rmatmat(ys), ref.T @ ys, atol=1e-12)
+
+
+def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, sweeps=3):
+    """Trainers built by ``make(exact_svd)`` agree sweep by sweep, and the
+    iterative one sends operators of ``iterative_shapes`` to ARPACK."""
+    shapes = []
+    svds = seqrec.linalg.svds
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svds(a, *args, **kwargs)
+
+    monkeypatch.setattr(seqrec.linalg, "svds", recording)
+    iterative, exact = make(False), make(True)
+    for _ in range(sweeps):
+        iterative.sweep()
+        exact.sweep()
+    assert set(iterative_shapes) <= set(shapes)
+    assert np.allclose(iterative.fit_history, exact.fit_history, rtol=1e-8)
+    for name in factor_names:
+        a, b = getattr(iterative, name), getattr(exact, name)
+        assert np.abs(a @ a.T - b @ b.T).max() < 1e-6
+
+
+class TestIterativeAgreesWithExact:
+    """ARPACK on tall and wide unfoldings against dense SVDs."""
+
+    def test_global_wide_mode_one(self, monkeypatch):
+        tensor = random_tensor(50, 80, 12, seed=0)
+        _assert_iterative_agrees(monkeypatch, lambda exact: GlobalAttentionTrainer(
+            tensor, build_attention(12, f=1.0), (10, 20, 5), seed=0, exact_svd=exact),
+            [(50, 100), (80, 50)], ("u", "v", "w"))
+
+    def test_local_wide_mode_one(self, monkeypatch):
+        tensor = random_tensor(50, 80, 12, seed=0)
+        _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
+            tensor, 12, build_attention(12, f=1.0), (10, 20, 5, 1), seed=0,
+            exact_svd=exact), [(50, 100), (80, 50)], ("u", "v", "w_l", "w_s"))
+
+    def test_local_long_window_mode_three(self, monkeypatch):
+        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding goes to ARPACK
+        tensor = random_tensor(30, 40, 40, seed=1, min_len=5)
+        _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
+            tensor, 34, build_attention(34, f=1.0), (4, 4, 2, 3), seed=0,
+            exact_svd=exact), [(34, 3 * 4 * 4)], ("u", "v", "w_l", "w_s"))
 
 
 class TestGlobalTrainer:
