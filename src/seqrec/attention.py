@@ -1,4 +1,4 @@
-"""Banded triangular positional attention, the left-shift operator, and Hankel views."""
+"""Banded triangular positional attention, the left-shift operator, and the triangular restore."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from scipy.linalg import solve_triangular, toeplitz
 
 __all__ = [
     "AttentionMatrix",
-    "HankelView",
     "build_attention",
     "shift_left",
-    "hankelize",
     "triangular_restore",
 ]
 
@@ -83,49 +81,6 @@ def shift_left(positions, items=None):
     if items is None:
         return shifted
     return shifted, np.asarray(items, dtype=np.int64)[keep]
-
-
-@dataclass(frozen=True)
-class HankelView:
-    """K_L x K_S window view over a length-K vector; entry (l, s) = source[l + s].
-
-    Indexes the source by arithmetic only; no data is copied. Indices here are
-    0-based; the skew diagonal l + s = q holds source[q].
-    """
-
-    source: np.ndarray
-    n_rows: int
-
-    @property
-    def n_cols(self):
-        return len(self.source) - self.n_rows + 1
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    def __getitem__(self, idx):
-        l, s = idx
-        return self.source[l + s]
-
-    def to_dense(self):
-        l = np.arange(self.n_rows)[:, None]
-        s = np.arange(self.n_cols)[None, :]
-        return np.asarray(self.source, dtype=float)[l + s]
-
-    def matvec(self, v):
-        return self.to_dense() @ v
-
-    def rmatvec(self, v):
-        return self.to_dense().T @ v
-
-
-def hankelize(p, window):
-    """Expose vector ``p`` as a ``window x (len(p) - window + 1)`` Hankel view."""
-    p = np.asarray(p)
-    if not 1 <= window <= len(p):
-        raise ValueError(f"window must be in [1, {len(p)}], got {window}")
-    return HankelView(source=p, n_rows=window)
 
 
 def triangular_restore(attention, w):

@@ -308,10 +308,6 @@ def build_parser():
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--output", help="output directory")
     parser.add_argument("--preset", help="named per-dataset defaults")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (current build runs single-threaded)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force sequential reductions (always on in this build)")
     parser.add_argument("command", choices=["prepare", "tune", "final", "report"])
     return parser
 

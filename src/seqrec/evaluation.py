@@ -113,10 +113,9 @@ def early_stopping_train(trainer, train, valid, n=10, patience=3, max_sweeps=10)
 
     Stops when the best value has not improved within the last ``patience``
     evaluations (or at the hard cap) and returns the best snapshot, its sweep
-    count, and the metric trace.
+    count, the metric trace, and the best snapshot's validation report.
     """
-    best_model = None
-    best_metric = -np.inf
+    best_model = best_report = None
     best_sweep = 0
     trace = []
     for sweep in range(1, max_sweeps + 1):
@@ -124,13 +123,11 @@ def early_stopping_train(trainer, train, valid, n=10, patience=3, max_sweeps=10)
         snap = trainer.snapshot()
         report = evaluate(snap, train, valid, n=n)
         trace.append(report.ndcg)
-        if report.ndcg > best_metric:
-            best_metric = report.ndcg
-            best_model = snap
-            best_sweep = sweep
+        if best_report is None or report.ndcg > best_report.ndcg:
+            best_model, best_report, best_sweep = snap, report, sweep
         if sweep - best_sweep >= patience:
             break
-    return best_model, best_sweep, trace
+    return best_model, best_sweep, trace, best_report
 
 
 @dataclass(frozen=True)
@@ -189,12 +186,10 @@ def grid_search(space, factory, train, valid, n=10, seed=0, patience=3, max_swee
         start = time.perf_counter()
         built = factory(config)
         if hasattr(built, "sweep"):
-            model, sweeps, _ = early_stopping_train(
+            _, sweeps, _, report = early_stopping_train(
                 built, train, valid, n=n, patience=patience, max_sweeps=max_sweeps)
-            report = evaluate(model, train, valid, n=n)
         else:
-            model, sweeps = built, 0
-            report = evaluate(model, train, valid, n=n)
+            sweeps, report = 0, evaluate(built, train, valid, n=n)
         point = GridPoint(config=config, report=report, sweep_count=sweeps,
                           wall_time=time.perf_counter() - start)
         log.append(point)

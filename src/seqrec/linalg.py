@@ -14,8 +14,6 @@ __all__ = [
     "random_orthonormal",
     "truncated_svd",
     "skew_block_cache",
-    "kron_pair_apply",
-    "kron_pair_outer",
 ]
 
 FFT_CROSSOVER = 32
@@ -143,22 +141,3 @@ def skew_block_cache(w_a, w_s, use_fft=None):
         use_fft = k >= FFT_CROSSOVER
     blocks = _skew_blocks_fft(w_a, w_s) if use_fft else _skew_blocks_direct(w_a, w_s)
     return SkewBlockCache(blocks=blocks, w_a=w_a, w_s=w_s)
-
-
-def kron_pair_apply(z, v, u):
-    """Compute z @ (v kron u) without forming the Kronecker product."""
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if z.shape[1] != len(v) * len(u):
-        raise ValueError(f"z has {z.shape[1]} columns, expected {len(v) * len(u)}")
-    cube = z.reshape(z.shape[0], len(v), len(u))
-    return (cube @ u) @ v
-
-
-def kron_pair_outer(v, u, w):
-    """Compute (v kron u) kron w as a flat vector without intermediate Kroneckers."""
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return (v[:, None, None] * u[None, :, None] * w[None, None, :]).ravel()

@@ -136,177 +136,6 @@ def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
 
 
 # ---------------------------------------------------------------------------
-# globally attentive tensor factorization
-
-
-def ga_mode_operator(tensor, factors, attention, scaling, mode):
-    """Implicit compressed unfolding of the weighted positional tensor.
-
-    The approximated object is the tensor scaled by the item diagonal on mode 2
-    with the attention transpose applied on mode 3; entries stream in COO form
-    and no unfolding or Kronecker product is ever materialized.
-    """
-    ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
-    m, n, k = tensor.shape
-    d = scaling.d
-    dvals = d[jj]
-    if mode == 1:
-        v, w_a = factors["V"], factors["W_A"]
-        r2, r3 = v.shape[1], w_a.shape[1]
-        if w_a.shape[0] != k or v.shape[0] != n:
-            raise ValueError("factor shapes do not match tensor dimensions")
-
-        def matvec(z):
-            zm = np.asarray(z).reshape(r3, r2)
-            contrib = dvals * np.einsum("ea,ea->e", w_a[kk] @ zm, v[jj])
-            return np.bincount(ii, weights=contrib, minlength=m)
-
-        def rmatvec(u):
-            w = np.asarray(u)[ii] * dvals
-            return (w_a[kk].T @ (v[jj] * w[:, None])).ravel()
-
-        return ImplicitMatrix(shape=(m, r3 * r2), matvec=matvec, rmatvec=rmatvec)
-    if mode == 2:
-        u, w_a = factors["U"], factors["W_A"]
-        r1, r3 = u.shape[1], w_a.shape[1]
-        if w_a.shape[0] != k or u.shape[0] != m:
-            raise ValueError("factor shapes do not match tensor dimensions")
-
-        def matvec(z):
-            zm = np.asarray(z).reshape(r3, r1)
-            contrib = dvals * np.einsum("ea,ea->e", w_a[kk] @ zm, u[ii])
-            return np.bincount(jj, weights=contrib, minlength=n)
-
-        def rmatvec(uu):
-            w = np.asarray(uu)[jj] * dvals
-            return (w_a[kk].T @ (u[ii] * w[:, None])).ravel()
-
-        return ImplicitMatrix(shape=(n, r3 * r1), matvec=matvec, rmatvec=rmatvec)
-    if mode == 3:
-        u, v = factors["U"], factors["V"]
-        r1, r2 = u.shape[1], v.shape[1]
-        if u.shape[0] != m or v.shape[0] != n:
-            raise ValueError("factor shapes do not match tensor dimensions")
-
-        def matvec(z):
-            zm = np.asarray(z).reshape(r2, r1)
-            contrib = dvals * np.einsum("ea,ea->e", v[jj] @ zm, u[ii])
-            fibers = np.bincount(kk, weights=contrib, minlength=k)
-            return attention.apply_transpose(fibers)
-
-        def rmatvec(uu):
-            b = attention.apply(np.asarray(uu))
-            w = dvals * b[kk]
-            return (v[jj].T @ (u[ii] * w[:, None])).ravel()
-
-        return ImplicitMatrix(shape=(k, r2 * r1), matvec=matvec, rmatvec=rmatvec)
-    raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
-
-
-@dataclass(frozen=True)
-class GlobalAttentionModel:
-    """Tensor factorization with whole-sequence positional attention."""
-
-    v: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    w_hat: np.ndarray = field(repr=False)
-    attention: AttentionMatrix
-    scaling: ScalingDiag
-    regime: str
-    ranks: tuple
-
-    kind = "global"
-
-    @property
-    def n_items(self):
-        return self.v.shape[0]
-
-    @property
-    def max_position(self):
-        return self.attention.size
-
-    def score_history(self, history):
-        k = self.max_position
-        hist = np.asarray(history, dtype=np.int64)[-k:]
-        n_i = len(hist)
-        positions = np.arange(k - n_i + 1, k + 1, dtype=np.int64)
-        pos, items = shift_left(positions, hist)
-        q = self.attention.apply(self.w @ self.w_hat[-1])
-        p = np.zeros(self.n_items)
-        p[items] = q[pos - 1]
-        return _project_scores(self.v, self.scaling, self.regime, p)
-
-
-class GlobalAttentionTrainer:
-    """Alternating sweeps over the three modes; the factor for the attended
-    mode feeds the auxiliary task through its attention-weighted image."""
-
-    def __init__(self, tensor, attention, ranks, s=1.0, seed=0,
-                 regime="plain", exact_svd=False, svd_tol=1e-8, init=None):
-        m, n, k = tensor.shape
-        r1, r2, r3 = ranks
-        if r1 > m or r2 > n or r3 > k:
-            raise ValueError(f"ranks {ranks} infeasible for tensor shape {tensor.shape}")
-        if attention.size != k:
-            raise ValueError("attention size must equal the position dimension")
-        self.tensor = tensor
-        self.attention = attention
-        self.ranks = (r1, r2, r3)
-        self.scaling = build_scaling(tensor.item_counts(), s, neutral_missing=True)
-        self.seed = seed
-        self.regime = regime
-        self.exact_svd = exact_svd
-        self.svd_tol = svd_tol
-        init = init or {}
-        self.v = init.get("V", random_orthonormal(n, r2, seed))
-        self.w = init.get("W", random_orthonormal(k, r3, seed + 1))
-        self.w_a = attention.apply(self.w)
-        self.u = None
-        self.sweep_count = 0
-        self.fit_history = []
-
-    def _svd(self, op, r, tag):
-        return truncated_svd(op, r, seed=self.seed + 1000 + 10 * self.sweep_count + tag,
-                             tol=self.svd_tol, exact=self.exact_svd)
-
-    def sweep(self):
-        r1, r2, r3 = self.ranks
-        factors = {"U": self.u, "V": self.v, "W_A": self.w_a}
-        self.u, _ = self._svd(
-            ga_mode_operator(self.tensor, factors, self.attention, self.scaling, 1), r1, 1)
-        factors["U"] = self.u
-        self.v, _ = self._svd(
-            ga_mode_operator(self.tensor, factors, self.attention, self.scaling, 2), r2, 2)
-        factors["V"] = self.v
-        self.w, svals = self._svd(
-            ga_mode_operator(self.tensor, factors, self.attention, self.scaling, 3), r3, 3)
-        self.w_a = self.attention.apply(self.w)
-        self.sweep_count += 1
-        self.fit_history.append(float(np.sum(svals ** 2)))
-
-    def snapshot(self):
-        return GlobalAttentionModel(
-            v=self.v.copy(),
-            w=self.w.copy(),
-            w_hat=triangular_restore(self.attention, self.w),
-            attention=self.attention,
-            scaling=self.scaling,
-            regime=self.regime,
-            ranks=self.ranks,
-        )
-
-
-def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
-                 attention_mode="power-decay", exact_svd=False, init=None):
-    attention = build_attention(tensor.max_position, f=f, mode=attention_mode)
-    trainer = GlobalAttentionTrainer(tensor, attention, ranks, s=s, seed=seed,
-                                     regime=regime, exact_svd=exact_svd, init=init)
-    for _ in range(sweeps):
-        trainer.sweep()
-    return trainer.snapshot()
-
-
-# ---------------------------------------------------------------------------
 # locally attentive tensor factorization over the hankelized tensor
 
 
@@ -435,6 +264,8 @@ class LocalAttentionTrainer:
     """Alternating sweeps over the four modes of the hankelized tensor,
     rebuilding skew-block caches whenever a source factor changes."""
 
+    model_class = LocalAttentionModel
+
     def __init__(self, tensor, window, attention, ranks, s=1.0, seed=0,
                  regime="plain", exact_svd=False, svd_tol=1e-8, init=None):
         m, n, k = tensor.shape
@@ -474,22 +305,26 @@ class LocalAttentionTrainer:
                 "scaling": self.scaling}
 
     def sweep(self):
-        r1, r2, r3, r4 = self.ranks
+        r1, r2, r3 = self.ranks[:3]
         cache = skew_block_cache(self.w_a, self.w_s)
         self.u, _ = self._svd(
             la_mode_operator(self.tensor, self._factors(), self.attention, cache, 1), r1, 1)
         self.v, _ = self._svd(
             la_mode_operator(self.tensor, self._factors(), self.attention, cache, 2), r2, 2)
-        self.w_l, _ = self._svd(
+        self.w_l, svals = self._svd(
             la_mode_operator(self.tensor, self._factors(), self.attention, None, 3), r3, 3)
         self.w_a = self.attention.apply(self.w_l)
-        self.w_s, svals = self._svd(
-            la_mode_operator(self.tensor, self._factors(), self.attention, None, 4), r4, 4)
+        # With one offset W_S is a 1 x 1 orthonormal +-1: there is nothing to
+        # solve, scores depend on W_S ** 2 only, and mode 3 already holds the fit.
+        if self.k_s > 1:
+            self.w_s, svals = self._svd(
+                la_mode_operator(self.tensor, self._factors(), self.attention, None, 4),
+                self.ranks[3], 4)
         self.sweep_count += 1
         self.fit_history.append(float(np.sum(svals ** 2)))
 
     def snapshot(self):
-        return LocalAttentionModel(
+        return self.model_class(
             v=self.v.copy(),
             w_l=self.w_l.copy(),
             w_l_hat=triangular_restore(self.attention, self.w_l),
@@ -507,6 +342,74 @@ def train_lasatf(tensor, window, f, ranks, s=1.0, seed=0, sweeps=4, regime="plai
     attention = build_attention(window, f=f, mode=attention_mode)
     trainer = LocalAttentionTrainer(tensor, window, attention, ranks, s=s, seed=seed,
                                     regime=regime, exact_svd=exact_svd, init=init)
+    for _ in range(sweeps):
+        trainer.sweep()
+    return trainer.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# whole-sequence attention: the windowed model at window = K, with one offset
+
+
+def ga_mode_operator(tensor, factors, attention, scaling, mode):
+    """Compressed unfolding of the tensor scaled by the item diagonal on mode 2
+    with the attention transpose applied on mode 3.
+
+    This is the windowed operator at window = K, whose single offset carries
+    the factor W_S = [[1]]; the column orders of the three modes coincide.
+    """
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
+    rows = dict(zip(("U", "V", "W_A"), tensor.shape))
+    needed = {1: ("V", "W_A"), 2: ("U", "W_A"), 3: ("U", "V")}[mode]
+    if any(factors[name].shape[0] != rows[name] for name in needed):
+        raise ValueError("factor shapes do not match tensor dimensions")
+    factors = dict(factors, W_S=np.ones((1, 1)), scaling=scaling)
+    cache = skew_block_cache(factors["W_A"], factors["W_S"]) if mode < 3 else None
+    return la_mode_operator(tensor, factors, attention, cache, mode)
+
+
+class GlobalAttentionModel(LocalAttentionModel):
+    """Tensor factorization with whole-sequence positional attention."""
+
+    kind = "global"
+
+    @property
+    def w(self):
+        return self.w_l
+
+    @property
+    def w_hat(self):
+        return self.w_l_hat
+
+
+class GlobalAttentionTrainer(LocalAttentionTrainer):
+    """HOOI over the user, item and position modes: the windowed trainer at
+    window = K with ranks ``(r1, r2, r3, 1)`` and W_S fixed at [[1]]."""
+
+    model_class = GlobalAttentionModel
+
+    def __init__(self, tensor, attention, ranks, s=1.0, seed=0,
+                 regime="plain", exact_svd=False, svd_tol=1e-8, init=None):
+        init = dict(init or {})
+        if "W" in init:
+            init["W_L"] = init.pop("W")
+        init["W_S"] = np.ones((1, 1))
+        super().__init__(tensor, tensor.shape[2], attention, (*ranks, 1), s=s, seed=seed,
+                         regime=regime, exact_svd=exact_svd, svd_tol=svd_tol, init=init)
+        # the model and its saved params keep the caller's three ranks
+        self.ranks = tuple(ranks)
+
+    @property
+    def w(self):
+        return self.w_l
+
+
+def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
+                 attention_mode="power-decay", exact_svd=False, init=None):
+    attention = build_attention(tensor.max_position, f=f, mode=attention_mode)
+    trainer = GlobalAttentionTrainer(tensor, attention, ranks, s=s, seed=seed,
+                                     regime=regime, exact_svd=exact_svd, init=init)
     for _ in range(sweeps):
         trainer.sweep()
     return trainer.snapshot()
@@ -584,10 +487,11 @@ def load_model(path):
         if kind == "svd":
             return SVDModel(v=data["v"], scaling=scaling, regime=params["regime"])
         if kind == "global":
+            attention = _attention_from_params(params["attention"])
             return GlobalAttentionModel(
-                v=data["v"], w=data["w"], w_hat=data["w_hat"],
-                attention=_attention_from_params(params["attention"]),
-                scaling=scaling, regime=params["regime"], ranks=tuple(params["ranks"]),
+                v=data["v"], w_l=data["w"], w_l_hat=data["w_hat"], w_s=np.ones((1, 1)),
+                attention=attention, scaling=scaling, regime=params["regime"],
+                ranks=tuple(params["ranks"]), max_position=attention.size,
             )
         if kind == "local":
             return LocalAttentionModel(

@@ -1,5 +1,7 @@
 """Independent dense reference implementations used to check the streaming paths."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -116,3 +118,46 @@ def random_tensor(m, n, k, seed, min_len=1):
         shape=(m, n, k),
         seq_lengths=lengths,
     )
+
+
+@dataclass(frozen=True)
+class HankelView:
+    """K_L x K_S window view over a length-K vector; entry (l, s) = source[l + s].
+
+    Indexes the source by arithmetic only; no data is copied. Indices here are
+    0-based; the skew diagonal l + s = q holds source[q].
+    """
+
+    source: np.ndarray
+    n_rows: int
+
+    @property
+    def n_cols(self):
+        return len(self.source) - self.n_rows + 1
+
+    @property
+    def shape(self):
+        return (self.n_rows, self.n_cols)
+
+    def __getitem__(self, idx):
+        l, s = idx
+        return self.source[l + s]
+
+    def to_dense(self):
+        l = np.arange(self.n_rows)[:, None]
+        s = np.arange(self.n_cols)[None, :]
+        return np.asarray(self.source, dtype=float)[l + s]
+
+    def matvec(self, v):
+        return self.to_dense() @ v
+
+    def rmatvec(self, v):
+        return self.to_dense().T @ v
+
+
+def hankelize(p, window):
+    """Expose vector ``p`` as a ``window x (len(p) - window + 1)`` Hankel view."""
+    p = np.asarray(p)
+    if not 1 <= window <= len(p):
+        raise ValueError(f"window must be in [1, {len(p)}], got {window}")
+    return HankelView(source=p, n_rows=window)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hankelize
 from seqrec.attention import (
     AttentionMatrix,
     build_attention,
-    hankelize,
     shift_left,
     triangular_restore,
 )

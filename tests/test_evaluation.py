@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+import seqrec.evaluation
 from helpers import make_log
 from seqrec.evaluation import (
     GridSpace,
@@ -134,7 +135,7 @@ def _scripted_split():
 class TestEarlyStopping:
     def test_stops_after_patience_stalls(self):
         train, valid = _scripted_split()
-        best, best_sweep, trace = early_stopping_train(
+        best, best_sweep, trace, _ = early_stopping_train(
             _ScriptedTrainer([3, 2, 2, 4, 1, 1]), train, valid,
             n=10, patience=2, max_sweeps=10)
         assert best_sweep == 2
@@ -144,7 +145,7 @@ class TestEarlyStopping:
 
     def test_hard_cap(self):
         train, valid = _scripted_split()
-        best, best_sweep, trace = early_stopping_train(
+        best, best_sweep, trace, _ = early_stopping_train(
             _ScriptedTrainer([6, 5, 4, 3, 2, 1]), train, valid,
             n=10, patience=3, max_sweeps=4)
         assert best_sweep == 4
@@ -153,11 +154,18 @@ class TestEarlyStopping:
 
     def test_patience_one(self):
         train, valid = _scripted_split()
-        _, best_sweep, trace = early_stopping_train(
+        _, best_sweep, trace, _ = early_stopping_train(
             _ScriptedTrainer([2, 2, 1, 1]), train, valid,
             n=10, patience=1, max_sweeps=10)
         assert best_sweep == 1
         assert len(trace) == 2
+
+    def test_returns_best_report(self):
+        train, valid = _scripted_split()
+        best, _, _, report = early_stopping_train(
+            _ScriptedTrainer([3, 2, 2, 4, 1, 1]), train, valid,
+            n=10, patience=2, max_sweeps=10)
+        assert report == evaluate(best, train, valid, n=10)
 
 
 class TestGridSpace:
@@ -228,6 +236,22 @@ class TestGridSearch:
             train, valid, n=10, patience=2, max_sweeps=10)
         assert best.sweep_count == 2
         assert best.report.ndcg == pytest.approx(ndcg_single(2, 10))
+
+    def test_trainer_point_evaluates_each_sweep_once(self, monkeypatch):
+        # sweeps 1-4 are scored during early stopping; the best one is not rescored
+        calls = []
+        counted = seqrec.evaluation.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(seqrec.evaluation, "evaluate", counting)
+        train, valid = _scripted_split()
+        grid_search(GridSpace(values={"r": [1]}),
+                    lambda cfg: _ScriptedTrainer([3, 2, 2, 4, 1]),
+                    train, valid, n=10, patience=2, max_sweeps=10)
+        assert len(calls) == 4
 
     def test_picks_highest_ndcg(self):
         train, valid = _scripted_split()

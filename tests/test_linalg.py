@@ -1,4 +1,4 @@
-"""Numerical kernels: implicit SVD, orthonormal init, skew blocks, Kronecker helpers."""
+"""Numerical kernels: implicit SVD, orthonormal init, skew blocks."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from seqrec.linalg import (
     ImplicitMatrix,
-    kron_pair_apply,
-    kron_pair_outer,
     random_orthonormal,
     skew_block_cache,
     truncated_svd,
@@ -182,35 +180,3 @@ class TestSkewBlockCache:
         cache = skew_block_cache(w_a, w_s)
         assert cache.matches(w_a, w_s)
         assert not cache.matches(w_a.copy(), w_s)
-
-
-class TestKronHelpers:
-    def test_unit_vectors_select(self):
-        rng = np.random.default_rng(8)
-        z = rng.standard_normal((4, 6))
-        u = np.eye(2)[0]
-        v = np.eye(3)[0]
-        assert np.allclose(kron_pair_apply(z, v, u), z[:, 0])
-
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_dense_kronecker(self, p, a, b, seed):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((p, a * b))
-        v = rng.standard_normal(a)
-        u = rng.standard_normal(b)
-        assert np.allclose(kron_pair_apply(z, v, u), z @ np.kron(v, u), atol=1e-10)
-
-    def test_zero_vector_annihilates(self):
-        z = np.ones((2, 6))
-        assert np.allclose(kron_pair_apply(z, np.zeros(3), np.ones(2)), 0.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kron_pair_apply(np.ones((2, 5)), np.ones(2), np.ones(3))
-
-    def test_outer_matches_kron_chain(self):
-        rng = np.random.default_rng(9)
-        v, u, w = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(4)
-        expected = np.kron(np.kron(v, u), w)
-        assert np.allclose(kron_pair_outer(v, u, w), expected, atol=1e-12)

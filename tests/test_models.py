@@ -14,11 +14,12 @@ from oracles import (
     dense_hooi,
     dense_la_unfoldings,
     dense_weighted_tensor,
+    hankelize,
     random_tensor,
 )
 from helpers import make_log
 import seqrec.linalg
-from seqrec.attention import build_attention, hankelize
+from seqrec.attention import build_attention
 from seqrec.data import build_positional_tensor
 from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
 from seqrec.models import (
