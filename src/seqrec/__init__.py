@@ -1,6 +1,6 @@
 """Sequence-aware recommenders via tensor factorization with positional attention."""
 
-from .attention import AttentionMatrix, build_attention, shift_left, triangular_restore
+from .attention import AttentionMatrix, build_attention, triangular_restore
 from .data import (
     InteractionLog,
     SparsePositionalTensor,

@@ -1,4 +1,4 @@
-"""Banded triangular positional attention, the left-shift operator, and the triangular restore."""
+"""Banded triangular positional attention and the triangular restore."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from scipy.linalg import solve_triangular, toeplitz
 __all__ = [
     "AttentionMatrix",
     "build_attention",
-    "shift_left",
     "triangular_restore",
 ]
 
@@ -33,18 +32,12 @@ class AttentionMatrix:
         return toeplitz(self.weights, np.zeros(self.size))
 
     def apply(self, x):
-        """Compute A @ x for a vector, or for a matrix by one Toeplitz product."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.convolve(self.weights, x)[: self.size]
-        return self.dense() @ x
+        """Compute A @ x by one Toeplitz product."""
+        return self.dense() @ np.asarray(x, dtype=float)
 
     def apply_transpose(self, x):
-        """Compute A.T @ x for a vector, or for a matrix by one Toeplitz product."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.convolve(self.weights, x[::-1])[: self.size][::-1]
-        return self.dense().T @ x
+        """Compute A.T @ x by one Toeplitz product."""
+        return self.dense().T @ np.asarray(x, dtype=float)
 
     def solve_transpose(self, b):
         """Solve A.T y = b by back-substitution (no explicit inverse)."""
@@ -66,21 +59,6 @@ def build_attention(size, f=0.0, mode="power-decay"):
     else:
         raise ValueError(f"unknown attention mode {mode!r}")
     return AttentionMatrix(size=size, f=float(f), mode=mode, weights=weights)
-
-
-def shift_left(positions, items=None):
-    """Decrease 1-based positions by one, dropping entries at position 1.
-
-    Works directly on COO coordinates; the shift matrix is never materialized.
-    Returns shifted positions, or a (positions, items) pair when ``items`` is
-    given so callers can keep coordinate arrays aligned.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    keep = positions > 1
-    shifted = positions[keep] - 1
-    if items is None:
-        return shifted
-    return shifted, np.asarray(items, dtype=np.int64)[keep]
 
 
 def triangular_restore(attention, w):

@@ -25,7 +25,7 @@ from .models import (
     train_puresvd,
 )
 
-__all__ = ["main", "cmd_prepare", "cmd_tune", "cmd_final", "cmd_report", "load_config"]
+__all__ = ["main"]
 
 
 class ConfigError(ValueError):
@@ -38,9 +38,6 @@ PRESETS = {
         "model": {"window_values": [20, 40, 60, 80],
                   "grid": {"r3": [5, 10, 15, 20], "r4": [5, 10, 15, 20]}},
     },
-    "amz-b": {"K": 50},
-    "amz-g": {"K": 50},
-    "steam": {"K": 50},
 }
 
 _SVD_RANKS = (list(range(100, 1001, 100))

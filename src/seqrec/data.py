@@ -21,13 +21,12 @@ __all__ = [
     "timepoint_split",
     "boundary_for_count",
     "build_positional_tensor",
-    "save_log",
-    "load_log",
     "save_split",
     "load_split",
 ]
 
 LOG_FORMAT_VERSION = 1
+MAX_TIMESTAMP = np.iinfo(np.int64).max
 
 
 class DataError(ValueError):
@@ -61,9 +60,6 @@ class InteractionLog:
 
     def item_counts(self):
         return np.bincount(self.items, minlength=self.n_items)
-
-    def user_counts(self):
-        return np.bincount(self.users, minlength=self.n_users)
 
     def replace_events(self, users, items, timestamps):
         return InteractionLog(
@@ -99,7 +95,6 @@ class SparsePositionalTensor:
     items: np.ndarray
     positions: np.ndarray
     shape: tuple
-    seq_lengths: np.ndarray
 
     def __len__(self):
         return len(self.users)
@@ -123,11 +118,6 @@ class SparsePositionalTensor:
         dense = np.zeros(self.shape)
         dense[self.users, self.items, self.positions - 1] = 1.0
         return dense
-
-    def dump_coo(self, path):
-        """Write entries as a 3-column integer text file (user, item, position)."""
-        arr = np.column_stack([self.users, self.items, self.positions])
-        np.savetxt(path, arr, fmt="%d")
 
 
 def _open_source(source):
@@ -182,8 +172,12 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
             ts = int(float(row[t_idx]))
         except ValueError:
             raise ParseError(f"line {lineno}: unparsable timestamp {row[t_idx]!r}") from None
+        except OverflowError:
+            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range") from None
         if ts < 0:
             raise ParseError(f"line {lineno}: negative timestamp {ts}")
+        if ts > MAX_TIMESTAMP:
+            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range")
         raw_users.append(row[u_idx])
         raw_items.append(row[i_idx])
         raw_times.append(ts)
@@ -305,13 +299,17 @@ def timepoint_split(log, t_valid, t_test):
 
 
 def boundary_for_count(log, tail_count):
-    """Smallest timestamp t such that the interval [t, inf) holds <= tail_count interactions."""
+    """Smallest log timestamp t such that the interval [t, inf) holds <= tail_count
+    interactions; one past the latest timestamp when no log timestamp does."""
+    if tail_count < 0:
+        raise DataError("tail count must be >= 0")
     ts = np.sort(log.timestamps)
     if tail_count >= len(ts):
         return int(ts[0])
-    # counts of interactions at or after each candidate boundary
-    candidate = ts[len(ts) - tail_count]
-    return int(candidate)
+    # every event tied with the latest one that must stay before the boundary
+    # stays before it too
+    cut = np.searchsorted(ts, ts[len(ts) - tail_count - 1], side="right")
+    return int(ts[cut]) if cut < len(ts) else int(ts[-1]) + 1
 
 
 def build_positional_tensor(train, K):
@@ -328,13 +326,11 @@ def build_positional_tensor(train, K):
     order = np.lexsort((np.arange(len(users)), train.timestamps, users))
     su, si = users[order], train.items[order]
     out_u, out_i, out_p = [], [], []
-    seq_lengths = np.zeros(M, dtype=np.int64)
     start = 0
     for end in np.flatnonzero(np.diff(su, append=-1) != 0) + 1:
         u = su[start]
         hist = si[start:end][-K:]
         n_i = len(hist)
-        seq_lengths[u] = n_i
         out_u.append(np.full(n_i, u, dtype=np.int64))
         out_i.append(hist)
         out_p.append(np.arange(K - n_i + 1, K + 1, dtype=np.int64))
@@ -345,10 +341,8 @@ def build_positional_tensor(train, K):
         pos_a = np.concatenate(out_p)
     else:
         users_a = items_a = pos_a = np.empty(0, dtype=np.int64)
-    return SparsePositionalTensor(
-        users=users_a, items=items_a, positions=pos_a,
-        shape=(M, N, K), seq_lengths=seq_lengths,
-    )
+    return SparsePositionalTensor(users=users_a, items=items_a, positions=pos_a,
+                                  shape=(M, N, K))
 
 
 def _log_payload(log, prefix):
@@ -357,17 +351,6 @@ def _log_payload(log, prefix):
         f"{prefix}items": log.items,
         f"{prefix}timestamps": log.timestamps,
     }
-
-
-def save_log(log, path):
-    meta = json.dumps({
-        "version": LOG_FORMAT_VERSION,
-        "n_users": log.n_users,
-        "n_items": log.n_items,
-        "user_map": {str(k): v for k, v in log.user_map.items()},
-        "item_map": {str(k): v for k, v in log.item_map.items()},
-    })
-    np.savez(path, meta=np.array(meta), **_log_payload(log, ""))
 
 
 def _log_from_arrays(data, prefix, meta):
@@ -380,19 +363,6 @@ def _log_from_arrays(data, prefix, meta):
         n_users=meta["n_users"],
         n_items=meta["n_items"],
     )
-
-
-def _read_meta(data):
-    meta = json.loads(str(data["meta"]))
-    if meta["version"] != LOG_FORMAT_VERSION:
-        raise DataError(f"unsupported log format version {meta['version']}")
-    return meta
-
-
-def load_log(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = _read_meta(data)
-        return _log_from_arrays(data, "", meta)
 
 
 def save_split(split, path):
@@ -413,7 +383,9 @@ def save_split(split, path):
 
 def load_split(path):
     with np.load(path, allow_pickle=False) as data:
-        meta = _read_meta(data)
+        meta = json.loads(str(data["meta"]))
+        if meta["version"] != LOG_FORMAT_VERSION:
+            raise DataError(f"unsupported log format version {meta['version']}")
         return TimeSplit(
             train=_log_from_arrays(data, "train_", meta),
             validation=_log_from_arrays(data, "valid_", meta),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,13 +34,7 @@ class EvaluationReport:
     skipped_cold_count: int
 
     def as_dict(self):
-        return {
-            "hr": self.hr, "hr_se": self.hr_se,
-            "ndcg": self.ndcg, "ndcg_se": self.ndcg_se,
-            "cov": self.cov, "n": self.n,
-            "evaluated_count": self.evaluated_count,
-            "skipped_cold_count": self.skipped_cold_count,
-        }
+        return asdict(self)
 
 
 def ndcg_single(rank, n):

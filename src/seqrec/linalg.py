@@ -17,6 +17,7 @@ __all__ = [
 ]
 
 FFT_CROSSOVER = 32
+SVD_TOL = 1e-8
 MAX_SVD_ITER = 300
 DENSE_SVD_DIM = 32
 
@@ -65,7 +66,7 @@ def _dense_left_vectors(dense, r):
     return u[:, :r], s[:r]
 
 
-def truncated_svd(y, r, seed=0, tol=1e-8, maxiter=MAX_SVD_ITER, exact=False):
+def truncated_svd(y, r, seed=0, exact=False):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
@@ -80,7 +81,7 @@ def truncated_svd(y, r, seed=0, tol=1e-8, maxiter=MAX_SVD_ITER, exact=False):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(min(rows, cols))
     try:
-        u, s, _ = svds(y.to_linear_operator(), k=r, v0=v0, maxiter=maxiter, tol=tol)
+        u, s, _ = svds(y.to_linear_operator(), k=r, v0=v0, maxiter=MAX_SVD_ITER, tol=SVD_TOL)
     except ArpackNoConvergence as exc:
         raise ConvergenceError("truncated SVD failed to converge",
                                residual=getattr(exc, "eigenvalues", None)) from exc
@@ -102,10 +103,6 @@ class SkewBlockCache:
     blocks: np.ndarray = field(repr=False)
     w_a: np.ndarray = field(repr=False)
     w_s: np.ndarray = field(repr=False)
-
-    @property
-    def n_offsets(self):
-        return self.blocks.shape[0]
 
     def matches(self, w_a, w_s):
         return self.w_a is w_a and self.w_s is w_s

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .attention import AttentionMatrix, build_attention, shift_left, triangular_restore
+from .attention import AttentionMatrix, build_attention, triangular_restore
 from .linalg import ImplicitMatrix, random_orthonormal, skew_block_cache, truncated_svd
 
 __all__ = [
@@ -246,17 +247,25 @@ class LocalAttentionModel:
     def n_items(self):
         return self.v.shape[0]
 
-    def score_history(self, history):
-        k = self.max_position
-        hist = np.asarray(history, dtype=np.int64)[-k:]
-        n_i = len(hist)
-        positions = np.arange(k - n_i + 1, k + 1, dtype=np.int64)
-        pos, items = shift_left(positions, hist)
+    @cached_property
+    def position_profile(self):
+        """Weight of each of the K - 1 positions a history shifts into, oldest
+        first: the attended window profile convolved with the offset profile.
+
+        It does not depend on the history, so it is computed once per model.
+        """
         left = self.attention.apply(self.w_l @ self.w_l_hat[-1])
         right = self.w_s @ self.w_s[-1]
-        gamma = np.convolve(left, right)
+        return np.convolve(left, right)[: self.max_position - 1]
+
+    def score_history(self, history):
+        # The most recent item moves to position K - 1; items shifted past
+        # position 1 (all but the K - 1 most recent) drop out.
+        profile = self.position_profile
+        recent = np.asarray(history, dtype=np.int64)
+        recent = recent[max(len(recent) - len(profile), 0):]
         p = np.zeros(self.n_items)
-        p[items] = gamma[pos - 1]
+        p[recent] = profile[len(profile) - len(recent):]
         return _project_scores(self.v, self.scaling, self.regime, p)
 
 
@@ -267,7 +276,7 @@ class LocalAttentionTrainer:
     model_class = LocalAttentionModel
 
     def __init__(self, tensor, window, attention, ranks, s=1.0, seed=0,
-                 regime="plain", exact_svd=False, svd_tol=1e-8, init=None):
+                 regime="plain", exact_svd=False, init=None):
         m, n, k = tensor.shape
         if not 1 <= window <= k:
             raise ValueError(f"window must be in [1, {k}], got {window}")
@@ -286,7 +295,6 @@ class LocalAttentionTrainer:
         self.seed = seed
         self.regime = regime
         self.exact_svd = exact_svd
-        self.svd_tol = svd_tol
         init = init or {}
         self.v = init.get("V", random_orthonormal(n, r2, seed))
         self.w_l = init.get("W_L", random_orthonormal(window, r3, seed + 1))
@@ -298,7 +306,7 @@ class LocalAttentionTrainer:
 
     def _svd(self, op, r, tag):
         return truncated_svd(op, r, seed=self.seed + 1000 + 10 * self.sweep_count + tag,
-                             tol=self.svd_tol, exact=self.exact_svd)
+                             exact=self.exact_svd)
 
     def _factors(self):
         return {"U": self.u, "V": self.v, "W_A": self.w_a, "W_S": self.w_s,
@@ -390,13 +398,13 @@ class GlobalAttentionTrainer(LocalAttentionTrainer):
     model_class = GlobalAttentionModel
 
     def __init__(self, tensor, attention, ranks, s=1.0, seed=0,
-                 regime="plain", exact_svd=False, svd_tol=1e-8, init=None):
+                 regime="plain", exact_svd=False, init=None):
         init = dict(init or {})
         if "W" in init:
             init["W_L"] = init.pop("W")
         init["W_S"] = np.ones((1, 1))
         super().__init__(tensor, tensor.shape[2], attention, (*ranks, 1), s=s, seed=seed,
-                         regime=regime, exact_svd=exact_svd, svd_tol=svd_tol, init=init)
+                         regime=regime, exact_svd=exact_svd, init=init)
         # the model and its saved params keep the caller's three ranks
         self.ranks = tuple(ranks)
 
@@ -419,20 +427,16 @@ def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
 # prediction and serialization
 
 
-def predict_next(model, history, n, exclude_seen=True, diagnostics=None):
+def predict_next(model, history, n, exclude_seen=True):
     """Top-n next-item candidates for an ordered history of item indices.
 
-    Unknown items are dropped (counted in ``diagnostics['dropped_unknown']`` if
-    a dict is supplied); an empty usable history raises :class:`ColdUserError`.
-    Ties are broken by ascending item index.
+    Unknown items are dropped; an empty usable history raises
+    :class:`ColdUserError`. Ties are broken by ascending item index.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     hist = np.asarray(list(history), dtype=np.int64)
-    known = (hist >= 0) & (hist < model.n_items)
-    if diagnostics is not None:
-        diagnostics["dropped_unknown"] = diagnostics.get("dropped_unknown", 0) + int((~known).sum())
-    hist = hist[known]
+    hist = hist[(hist >= 0) & (hist < model.n_items)]
     if len(hist) == 0:
         raise ColdUserError("cold user: no usable history")
     scores = np.asarray(model.score_history(hist), dtype=float)

@@ -103,11 +103,9 @@ def random_tensor(m, n, k, seed, min_len=1):
 
     rng = np.random.default_rng(seed)
     uu, ii, pp = [], [], []
-    lengths = np.zeros(m, dtype=np.int64)
     for i in range(m):
         n_i = rng.integers(min_len, min(n, k) + 1)
         items = rng.choice(n, size=n_i, replace=False)
-        lengths[i] = n_i
         uu.extend([i] * n_i)
         ii.extend(items.tolist())
         pp.extend(range(k - n_i + 1, k + 1))
@@ -116,7 +114,6 @@ def random_tensor(m, n, k, seed, min_len=1):
         items=np.array(ii, dtype=np.int64),
         positions=np.array(pp, dtype=np.int64),
         shape=(m, n, k),
-        seq_lengths=lengths,
     )
 
 

@@ -1,4 +1,4 @@
-"""Banded triangular attention, shifting, Hankel views, and the triangular restore."""
+"""Banded triangular attention, Hankel views, and the triangular restore."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hankelize
-from seqrec.attention import (
-    AttentionMatrix,
-    build_attention,
-    shift_left,
-    triangular_restore,
-)
+from seqrec.attention import AttentionMatrix, build_attention, triangular_restore
 from seqrec.linalg import random_orthonormal
 
 
@@ -73,35 +68,6 @@ class TestBuildAttention:
                 direct = sum(a.weights[m] * a.weights[q - q2 + m]
                              for m in range(q2 + 1))
                 assert lhs == pytest.approx(direct)
-
-
-class TestShiftLeft:
-    def test_full_positions(self):
-        out, items = shift_left(np.array([1, 2, 3]), np.array([10, 11, 12]))
-        assert list(out) == [1, 2]
-        assert list(items) == [11, 12]
-
-    def test_single_item_at_k(self):
-        assert list(shift_left(np.array([5]))) == [4]
-
-    def test_empty(self):
-        assert len(shift_left(np.array([], dtype=np.int64))) == 0
-
-    def test_double_shift_matches_dense_shift_matrix(self):
-        k = 6
-        s = np.diag(np.ones(k - 1), 1)  # dense lower-shift on position vectors
-        rng = np.random.default_rng(3)
-        positions = np.arange(1, k + 1)
-        mask = rng.random(k) < 0.7
-        positions = positions[mask]
-        dense = np.zeros(k)
-        dense[positions - 1] = 1.0
-        once = shift_left(positions)
-        twice = shift_left(once)
-        dense_twice = s @ (s @ dense)
-        out = np.zeros(k)
-        out[twice - 1] = 1.0
-        assert np.array_equal(out, dense_twice)
 
 
 class TestHankelize:

@@ -69,6 +69,13 @@ class TestPrepare:
         _write_config(cfg, dataset={"path": "x"})
         assert main(["--config", str(cfg), "prepare"]) == 2
 
+    def test_out_of_range_timestamp_exit_1(self, tmp_path, capsys):
+        cfg, _ = _toy_config(tmp_path)
+        (tmp_path / "events.csv").write_text("user,item,timestamp\nu1,b,inf\n")
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and len(err.strip().splitlines()) == 1
+
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0)

@@ -19,7 +19,7 @@ from oracles import (
 )
 from helpers import make_log
 import seqrec.linalg
-from seqrec.attention import build_attention
+from seqrec.attention import AttentionMatrix, build_attention
 from seqrec.data import build_positional_tensor
 from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
 from seqrec.models import (
@@ -320,6 +320,12 @@ class TestIterativeAgreesWithExact:
             exact_svd=exact), [(34, 3 * 4 * 4)], ("u", "v", "w_l", "w_s"))
 
 
+def _histories(first, n_items, k):
+    """``first``, then histories of distinct items with 1, K - 1, K and K + 3 entries."""
+    rng = np.random.default_rng(0)
+    return [first] + [list(rng.permutation(n_items)[:length]) for length in (1, k - 1, k, k + 3)]
+
+
 class TestGlobalTrainer:
     def test_identity_attention_equals_dense_hooi(self):
         tensor = random_tensor(8, 7, 5, seed=3)
@@ -397,15 +403,15 @@ class TestGlobalTrainer:
         a = ga.attention.dense()
         w_hat = np.linalg.solve(a.T, ga.w)
         q = a @ ga.w @ w_hat[-1]
-        hist = [2, 5, 0]
         k = 5
-        p = np.zeros(8)
-        for back, item in enumerate(reversed(hist)):
-            pos = k - back  # original right-aligned position
-            if pos - 1 >= 1:  # shift one step toward the past
-                p[item] = q[pos - 2]
-        expected = ga.v @ (ga.v.T @ p)
-        assert np.allclose(ga.score_history(hist), expected, atol=1e-10)
+        for hist in _histories([2, 5, 0], 8, k):
+            p = np.zeros(8)
+            for back, item in enumerate(reversed(hist)):
+                pos = k - back  # original right-aligned position
+                if pos - 1 >= 1:  # shift one step toward the past
+                    p[item] = q[pos - 2]
+            expected = ga.v @ (ga.v.T @ p)
+            assert np.allclose(ga.score_history(hist), expected, atol=1e-10)
 
 
 class TestLocalTrainer:
@@ -465,14 +471,41 @@ class TestLocalTrainer:
             left @ hankelize(np.eye(k)[q], 2).to_dense() @ right
             for q in range(k)
         ])
-        hist = [1, 6, 3]
-        p = np.zeros(8)
-        for back, item in enumerate(reversed(hist)):
-            pos = k - back
-            if pos - 1 >= 1:
-                p[item] = gamma[pos - 2]
-        expected = la.v @ (la.v.T @ p)
-        assert np.allclose(la.score_history(hist), expected, atol=1e-10)
+        for hist in _histories([1, 6, 3], 8, k):
+            p = np.zeros(8)
+            for back, item in enumerate(reversed(hist)):
+                pos = k - back
+                if pos - 1 >= 1:
+                    p[item] = gamma[pos - 2]
+            expected = la.v @ (la.v.T @ p)
+            assert np.allclose(la.score_history(hist), expected, atol=1e-10)
+
+
+_SINGLE_POSITION_TRAINERS = {
+    "global": lambda x: train_gasatf(x, f=1.0, ranks=(3, 3, 1), seed=0, sweeps=1),
+    "local": lambda x: train_lasatf(x, window=1, f=1.0, ranks=(3, 3, 1, 1), seed=0, sweeps=1),
+}
+
+
+class TestScoring:
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_single_position_scores_nothing(self, kind):
+        # at K = 1 the only position shifts out: no history item keeps a weight
+        model = _SINGLE_POSITION_TRAINERS[kind](random_tensor(6, 5, 1, seed=11))
+        for hist in ([2], [0, 3], [4, 1, 0]):
+            assert np.array_equal(model.score_history(hist), np.zeros(5))
+
+    def test_position_profile_built_once_per_model(self, monkeypatch):
+        tensor = random_tensor(9, 8, 5, seed=10, min_len=2)
+        model = train_lasatf(tensor, window=2, f=0.5, ranks=(4, 4, 2, 2), seed=2, sweeps=1)
+        calls = []
+        apply = AttentionMatrix.apply
+        monkeypatch.setattr(AttentionMatrix, "apply",
+                            lambda self, x: calls.append(1) or apply(self, x))
+        first = model.score_history([1, 6, 3])
+        for _ in range(3):
+            assert np.array_equal(model.score_history([1, 6, 3]), first)
+        assert len(calls) <= 1
 
 
 @dataclass
@@ -500,10 +533,8 @@ class TestPredictNext:
 
     def test_unknown_items_dropped(self):
         stub = _StubModel(np.array([0.1, 0.9, 0.5]))
-        diag = {}
-        out = predict_next(stub, [0, 99, -1], 1, diagnostics=diag)
-        assert list(out) == [1]
-        assert diag["dropped_unknown"] == 2
+        assert list(predict_next(stub, [0, 99, -1], 1)) == [1]
+        assert list(predict_next(stub, [1, 99, -1], 1)) == [2]
 
     def test_cold_user(self):
         stub = _StubModel(np.array([1.0, 2.0]))
