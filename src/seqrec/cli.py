@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,7 +95,7 @@ def cmd_prepare(config, args):
     if not ds or "path" not in ds:
         raise ConfigError("config must set dataset.path")
     path = Path(ds["path"])
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     log = dp.ingest_log(
         path,
@@ -180,12 +182,19 @@ def _grid_space(kind, config, m, n_items, k):
 def _factory(kind, train_log, tensor, seed, config):
     k = int(config.get("K", 50))
 
+    # The regime only changes how an SVD model scores, and the grid enumerates
+    # it last, so points sharing (rank, s) are adjacent: a one-entry cache
+    # trains each factorization once.
+    @functools.lru_cache(maxsize=1)
+    def factorize(rank, s):
+        return train_puresvd(train_log, r=rank, s=s, seed=seed)
+
     def build(point):
         if kind == "mp":
             return train_mp(train_log)
         if kind == "svd":
-            return train_puresvd(train_log, r=point["rank"], s=point["s"],
-                                 regime=point["regime"], seed=seed)
+            return dataclasses.replace(factorize(point["rank"], point["s"]),
+                                       regime=point["regime"])
         if kind == "global":
             attention = build_attention(k, f=point["f"])
             return GlobalAttentionTrainer(

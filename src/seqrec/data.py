@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
 import json
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,30 +122,31 @@ class SparsePositionalTensor:
         return dense
 
 
+@contextlib.contextmanager
 def _open_source(source):
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        raw = open(source, "rb")
-    else:
-        raw = source
-    if not hasattr(raw, "peek"):
-        raw = io.BufferedReader(raw)
-    if raw.peek(2)[:2] == b"\x1f\x8b":
-        raw = gzip.open(raw, "rb")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+    """Text view of a path or binary stream, gzip detected from its magic bytes.
 
-
-def ingest_log(source, delimiter=",", user_col="user", item_col="item",
-               time_col="timestamp", header=True):
-    """Parse delimited text into an :class:`InteractionLog`.
-
-    Rating columns, if present, are ignored: the signal is implicit/binary.
-    Duplicate (user, item) pairs collapse to the earliest-timestamp occurrence.
-    Column arguments are names when ``header`` is true, 0-based indices
-    otherwise. ``source`` may be a path or a binary stream; gzip is detected.
+    A file opened here is closed on exit; a caller's stream is left open.
     """
-    text = _open_source(source)
-    reader = csv.reader(text, delimiter=delimiter)
-    rows = iter(reader)
+    with contextlib.ExitStack() as stack:
+        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+            raw = stack.enter_context(open(source, "rb"))
+        else:
+            raw = source
+        if not hasattr(raw, "peek"):
+            raw = io.BufferedReader(raw)
+            stack.callback(raw.detach)
+        if raw.peek(2)[:2] == b"\x1f\x8b":
+            # closing a GzipFile leaves the stream it reads from open
+            raw = stack.enter_context(gzip.open(raw, "rb"))
+        text = io.TextIOWrapper(raw, encoding="utf-8")
+        stack.callback(text.detach)
+        yield text
+
+
+def _read_rows(text, delimiter, user_col, item_col, time_col, header):
+    """Raw user ids, item ids and timestamps of every non-blank data row."""
+    rows = iter(csv.reader(text, delimiter=delimiter))
     lineno = 0
     if header:
         lineno += 1
@@ -181,6 +184,25 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
         raw_users.append(row[u_idx])
         raw_items.append(row[i_idx])
         raw_times.append(ts)
+    return raw_users, raw_items, raw_times
+
+
+def ingest_log(source, delimiter=",", user_col="user", item_col="item",
+               time_col="timestamp", header=True):
+    """Parse delimited text into an :class:`InteractionLog`.
+
+    Rating columns, if present, are ignored: the signal is implicit/binary.
+    Duplicate (user, item) pairs collapse to the earliest-timestamp occurrence.
+    Column arguments are names when ``header`` is true, 0-based indices
+    otherwise. ``source`` may be a path or a binary stream; gzip is detected,
+    and a truncated or corrupt gzip stream raises :class:`ParseError`.
+    """
+    with _open_source(source) as text:
+        try:
+            raw_users, raw_items, raw_times = _read_rows(
+                text, delimiter, user_col, item_col, time_col, header)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
     if not raw_users:
         raise ParseError("empty source")
 

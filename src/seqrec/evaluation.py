@@ -68,16 +68,14 @@ def evaluate(model, train, test, n=10):
         raise ValueError("empty test split")
     histories = {}
     order = np.lexsort((np.arange(len(train)), train.timestamps, train.users))
-    for pos in order:
-        histories.setdefault(int(train.users[pos]), []).append(int(train.items[pos]))
+    for user, item in zip(train.users[order].tolist(), train.items[order].tolist()):
+        histories.setdefault(user, []).append(item)
 
     test_order = np.lexsort((np.arange(len(test)), test.timestamps))
     hits, gains = [], []
     recommended = set()
     skipped = 0
-    for pos in test_order:
-        user = int(test.users[pos])
-        target = int(test.items[pos])
+    for user, target in zip(test.users[test_order].tolist(), test.items[test_order].tolist()):
         history = histories.setdefault(user, [])
         try:
             top = predict_next(model, history, n, exclude_seen=True)
@@ -85,7 +83,7 @@ def evaluate(model, train, test, n=10):
             skipped += 1
             history.append(target)
             continue
-        recommended.update(int(j) for j in top)
+        recommended.update(top.tolist())
         where = np.flatnonzero(top == target)
         rank = int(where[0]) + 1 if len(where) else None
         hits.append(1.0 if rank is not None else 0.0)

@@ -181,6 +181,8 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     reduce the entries to per-position cores once and keep the explicit
     window x r4*r2*r1 (or offset x r3*r2*r1) matrix. Each matvec/rmatvec costs
     O(nnz + n*K*r + K*r3*r4*r) for modes 1/2 and one dense product for 3/4.
+    Modes 3/4 reuse ``factors["cores"]``, the :func:`_position_cores` of U
+    and V, when it is set, and build the cores otherwise.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -210,7 +212,9 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
 
         return ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
     if mode in (3, 4):
-        cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
+        cores = factors.get("cores")
+        if cores is None:
+            cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
         shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
         out_dim = shift.shape[1]
         unfolding = np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
@@ -308,9 +312,9 @@ class LocalAttentionTrainer:
         return truncated_svd(op, r, seed=self.seed + 1000 + 10 * self.sweep_count + tag,
                              exact=self.exact_svd)
 
-    def _factors(self):
+    def _factors(self, cores=None):
         return {"U": self.u, "V": self.v, "W_A": self.w_a, "W_S": self.w_s,
-                "scaling": self.scaling}
+                "scaling": self.scaling, "cores": cores}
 
     def sweep(self):
         r1, r2, r3 = self.ranks[:3]
@@ -319,14 +323,19 @@ class LocalAttentionTrainer:
             la_mode_operator(self.tensor, self._factors(), self.attention, cache, 1), r1, 1)
         self.v, _ = self._svd(
             la_mode_operator(self.tensor, self._factors(), self.attention, cache, 2), r2, 2)
+        # U and V are fixed for the rest of the sweep, so modes 3 and 4 share
+        # one set of position cores.
+        cores = _position_cores(self.tensor, self.scaling.d[self.tensor.items],
+                                self.u, self.v)
         self.w_l, svals = self._svd(
-            la_mode_operator(self.tensor, self._factors(), self.attention, None, 3), r3, 3)
+            la_mode_operator(self.tensor, self._factors(cores), self.attention, None, 3),
+            r3, 3)
         self.w_a = self.attention.apply(self.w_l)
         # With one offset W_S is a 1 x 1 orthonormal +-1: there is nothing to
         # solve, scores depend on W_S ** 2 only, and mode 3 already holds the fit.
         if self.k_s > 1:
             self.w_s, svals = self._svd(
-                la_mode_operator(self.tensor, self._factors(), self.attention, None, 4),
+                la_mode_operator(self.tensor, self._factors(cores), self.attention, None, 4),
                 self.ranks[3], 4)
         self.sweep_count += 1
         self.fit_history.append(float(np.sum(svals ** 2)))
@@ -442,8 +451,13 @@ def predict_next(model, history, n, exclude_seen=True):
     scores = np.asarray(model.score_history(hist), dtype=float)
     if exclude_seen:
         scores[hist] = -np.inf
-    order = np.lexsort((np.arange(model.n_items), -scores))
-    return order[:n]
+    # Exact partial selection: every item scoring at least the n-th largest
+    # value, ordered by score and then index (a stable sort of the candidates,
+    # which are in index order), is the head of the full ranking.
+    kth = max(len(scores) - n, 0)
+    cutoff = np.partition(scores, kth)[kth]
+    candidates = np.flatnonzero(scores >= cutoff)
+    return candidates[np.argsort(-scores[candidates], kind="stable")][:n]
 
 
 def _attention_params(att):

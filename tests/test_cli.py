@@ -1,14 +1,17 @@
 """Command-line front-end: prepare/tune/final/report, exit codes, determinism."""
 
+import gzip
 import json
 
 import pytest
 import yaml
 
+import seqrec.cli
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
 from seqrec.cli import main
 from seqrec.linalg import ConvergenceError
+from seqrec.models import train_puresvd
 
 TOY_ROWS = [
     (0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
@@ -76,6 +79,23 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and len(err.strip().splitlines()) == 1
 
+    def test_truncated_gzip_exit_1(self, tmp_path, capsys):
+        cfg, _ = _toy_config(tmp_path)
+        csv = tmp_path / "events.csv"
+        csv.write_bytes(gzip.compress(csv.read_bytes())[:20])
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gzip" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directory_dataset_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        _write_config(cfg, seed=0, dataset={"path": str(tmp_path)},
+                      split={"t_valid": 1, "t_test": 2})
+        assert main(["--config", str(cfg), "prepare"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing file: ") and len(err.strip().splitlines()) == 1
+
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0)
@@ -88,6 +108,13 @@ class TestPrepare:
 
 SVD_GRID = {"kind": "svd", "grid": {"rank": [1, 2], "s": [0.0, 1.0],
                                     "regime": ["plain"]}}
+
+
+def _tune_outputs(out):
+    records = [json.loads(l) for l in (out / "grid_log.jsonl").read_text().splitlines()]
+    for record in records:
+        record.pop("wall_time")
+    return records, (out / "best.json").read_text()
 
 
 class TestTune:
@@ -133,6 +160,29 @@ class TestTune:
         for rec in log_a + log_b:
             rec.pop("wall_time")
         assert log_a == log_b
+
+    def test_svd_factorized_once_per_rank_and_s(self, tmp_path, monkeypatch):
+        model = {"kind": "svd", "grid": {"rank": [2], "s": [0.0, 0.4],
+                                         "regime": ["plain", "restored"]}}
+        cfg, out = _toy_config(tmp_path, model=model)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        calls = []
+        monkeypatch.setattr(seqrec.cli, "train_puresvd",
+                            lambda *a, **k: calls.append(k) or train_puresvd(*a, **k))
+        assert main(["--config", str(cfg), "tune"]) == 0
+        assert [c["s"] for c in calls] == [0.0, 0.4]
+        shared = _tune_outputs(out)
+
+        # reference: every grid point trains its own factorization
+        def per_point(kind, train_log, tensor, seed, config):
+            return lambda p: train_puresvd(train_log, r=p["rank"], s=p["s"],
+                                           regime=p["regime"], seed=seed)
+
+        monkeypatch.setattr(seqrec.cli, "_factory", per_point)
+        assert main(["--config", str(cfg), "tune"]) == 0
+        assert len(calls) == 2
+        assert shared == _tune_outputs(out)
+        assert [r["config"]["regime"] for r in shared[0]] == ["plain", "restored"] * 2
 
     def test_without_prepare_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)

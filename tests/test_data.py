@@ -27,6 +27,10 @@ def _stream(text):
     return io.BytesIO(text.encode())
 
 
+_GZIP_LOG = gzip.compress(b"user,item,timestamp\n"
+                          + b"".join(b"u%d,i%d,%d\n" % (t % 7, t % 5, t) for t in range(300)))
+
+
 class TestIngest:
     def test_three_rows_two_users(self):
         log = ingest_log(_stream("user,item,timestamp\nu1,a,1\nu1,b,2\nu2,a,3\n"))
@@ -78,6 +82,43 @@ class TestIngest:
         payload = gzip.compress(b"user,item,timestamp\nu,i,1\nu,j,2\n")
         log = ingest_log(io.BytesIO(payload))
         assert len(log) == 2
+
+    @pytest.mark.parametrize("cut", [2, 20, -4])
+    def test_truncated_gzip_is_parse_error(self, tmp_path, cut):
+        # -4 keeps the whole deflate stream but drops part of the size trailer
+        path = tmp_path / "events.csv.gz"
+        path.write_bytes(_GZIP_LOG[:cut])
+        with pytest.raises(ParseError, match="gzip"):
+            ingest_log(path)
+
+    @pytest.mark.parametrize("offset, junk", [(2, b"\x07"), (12, b"\xff\xff\xff\xff")])
+    def test_corrupt_gzip_is_parse_error(self, offset, junk):
+        # an unknown compression method, then damaged deflate data
+        payload = bytearray(_GZIP_LOG)
+        payload[offset:offset + len(junk)] = junk
+        with pytest.raises(ParseError, match="gzip"):
+            ingest_log(io.BytesIO(bytes(payload)))
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_caller_stream_left_open(self, compress):
+        payload = b"user,item,timestamp\nu,i,1\nu,j,2\n"
+        stream = io.BytesIO(gzip.compress(payload) if compress else payload)
+        assert len(ingest_log(stream)) == 2
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read(2) == (b"\x1f\x8b" if compress else b"us")
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_path_source_closed(self, tmp_path, monkeypatch, compress):
+        payload = b"user,item,timestamp\nu,i,1\nu,j,2\n"
+        path = tmp_path / "events.csv"
+        path.write_bytes(gzip.compress(payload) if compress else payload)
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open",
+                            lambda *a, **k: opened.append(real_open(*a, **k)) or opened[-1])
+        assert len(ingest_log(path)) == 2
+        assert len(opened) == 1 and opened[0].closed
 
     def test_indices_dense_and_sorted(self):
         log = ingest_log(_stream(

@@ -19,6 +19,7 @@ from oracles import (
 )
 from helpers import make_log
 import seqrec.linalg
+import seqrec.models
 from seqrec.attention import AttentionMatrix, build_attention
 from seqrec.data import build_positional_tensor
 from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
@@ -450,6 +451,38 @@ class TestLocalTrainer:
         diffs = np.diff(tr.fit_history)
         assert (diffs >= -1e-10 * max(tr.fit_history)).all()
 
+    @pytest.mark.parametrize("window", [3, 6])
+    def test_position_cores_built_once_per_sweep(self, monkeypatch, window):
+        # window 3 solves modes 3 and 4 from the same cores, window = K mode 3 only
+        from seqrec.models import LocalAttentionTrainer
+        tensor = random_tensor(10, 9, 6, seed=12, min_len=2)
+        ranks = (4, 3, 2, 1 if window == 6 else 2)
+
+        def train():
+            tr = LocalAttentionTrainer(tensor, window, build_attention(window, f=0.5), ranks,
+                                       s=0.5, seed=4, regime="restored")
+            for _ in range(3):
+                tr.sweep()
+            return tr
+
+        calls = []
+        cores = seqrec.models._position_cores
+        monkeypatch.setattr(seqrec.models, "_position_cores",
+                            lambda *args: calls.append(1) or cores(*args))
+        shared = train()
+        assert len(calls) == 3
+        # reference: each window/offset operator builds its own cores
+        factors = LocalAttentionTrainer._factors
+        monkeypatch.setattr(LocalAttentionTrainer, "_factors",
+                            lambda self, cores=None: factors(self))
+        separate = train()
+        assert shared.fit_history == separate.fit_history
+        for name in ("u", "v", "w_l", "w_s"):
+            assert np.array_equal(getattr(shared, name), getattr(separate, name))
+        a, b = shared.snapshot(), separate.snapshot()
+        for hist in ([0], [2, 5], [1, 3, 4, 7, 8]):
+            assert np.array_equal(a.score_history(hist), b.score_history(hist))
+
     def test_window_and_rank_validation(self):
         tensor = random_tensor(4, 4, 3, seed=0)
         with pytest.raises(ValueError, match="window"):
@@ -552,6 +585,22 @@ class TestPredictNext:
         a = predict_next(_StubModel(scores), [0], 5)
         b = predict_next(_StubModel(scores * 3.7), [0], 5)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_items=st.integers(1, 40), exclude_seen=st.booleans())
+    def test_matches_full_lexsort(self, data, n_items, exclude_seen):
+        # few distinct values force heavy ties; -inf also stands in for seen items
+        values = st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 1.0, np.inf]) | st.floats(
+            -3, 3, allow_nan=False)
+        scores = np.array(data.draw(st.lists(values, min_size=n_items, max_size=n_items)))
+        history = data.draw(st.lists(st.integers(0, n_items - 1), min_size=1, max_size=5))
+        n = data.draw(st.integers(1, n_items + 3))
+        full = scores.copy()
+        if exclude_seen:
+            full[history] = -np.inf
+        expected = np.lexsort((np.arange(n_items), -full))[:n]
+        got = predict_next(_StubModel(scores), history, n, exclude_seen=exclude_seen)
+        assert got.tolist() == expected.tolist()
 
 
 class TestSerialization:
