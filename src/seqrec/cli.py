@@ -58,7 +58,12 @@ def _deep_update(base, extra):
 
 def load_config(path, preset=None, overrides=None):
     with open(path) as fh:
-        config = yaml.safe_load(fh) or {}
+        try:
+            config = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed YAML in {path}: {' '.join(str(exc).split())}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path} must hold a mapping, not {type(config).__name__}")
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (choose from {sorted(PRESETS)})")
@@ -67,8 +72,9 @@ def load_config(path, preset=None, overrides=None):
         _deep_update(config, overrides)
     if "seed" not in config:
         raise ConfigError("config must set a seed (reproducibility is mandatory)")
-    if config.get("K", 1) < 1:
-        raise ConfigError("K must be >= 1")
+    k = config.get("K", 1)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ConfigError(f"K must be an integer >= 1, got {k!r}")
     return config
 
 

@@ -342,29 +342,15 @@ def build_positional_tensor(train, K):
     """
     if K < 1:
         raise DataError("K must be >= 1")
-    users = train.users
-    M, N = train.n_users, train.n_items
-    # train logs are sorted by (user, time); recover per-user slices
-    order = np.lexsort((np.arange(len(users)), train.timestamps, users))
-    su, si = users[order], train.items[order]
-    out_u, out_i, out_p = [], [], []
-    start = 0
-    for end in np.flatnonzero(np.diff(su, append=-1) != 0) + 1:
-        u = su[start]
-        hist = si[start:end][-K:]
-        n_i = len(hist)
-        out_u.append(np.full(n_i, u, dtype=np.int64))
-        out_i.append(hist)
-        out_p.append(np.arange(K - n_i + 1, K + 1, dtype=np.int64))
-        start = end
-    if out_u:
-        users_a = np.concatenate(out_u)
-        items_a = np.concatenate(out_i)
-        pos_a = np.concatenate(out_p)
-    else:
-        users_a = items_a = pos_a = np.empty(0, dtype=np.int64)
-    return SparsePositionalTensor(users=users_a, items=items_a, positions=pos_a,
-                                  shape=(M, N, K))
+    # stable (user, time) order; an event's distance from its user's newest
+    # event is the user's end offset minus its own offset
+    order = np.lexsort((np.arange(len(train)), train.timestamps, train.users))
+    users, items = train.users[order], train.items[order]
+    distance = np.cumsum(np.bincount(users))[users] - np.arange(len(users))
+    keep = distance <= K
+    return SparsePositionalTensor(users=users[keep], items=items[keep],
+                                  positions=K + 1 - distance[keep],
+                                  shape=(train.n_users, train.n_items, K))
 
 
 def _log_payload(log, prefix):

@@ -67,14 +67,18 @@ def build_scaling(counts, s, neutral_missing=False):
     return ScalingDiag(d=counts ** ((s - 1.0) / 2.0), s=float(s))
 
 
-def _project_scores(v, scaling, regime, p):
-    """Item-space projection of a preference vector, with optional debias regime."""
-    if regime == "plain":
-        return v @ (v.T @ p)
-    if regime == "restored":
-        d = scaling.d
-        return (v @ (v.T @ (d * p))) / d
-    raise ValueError(f"unknown regime {regime!r}")
+def _project_scores(model, items, weights):
+    """Catalog scores of a weighted history: ``V (V[items]^T w)``, or
+    ``D^-1 V (V[items]^T (d[items] w))`` when restored. A repeated item adds
+    its weights. ``dot`` is ``@`` with less per-call overhead on small operands.
+    """
+    v = model.v
+    if model.regime == "plain":
+        return v.dot(v[items].T.dot(weights))
+    if model.regime == "restored":
+        d = model.scaling.d
+        return v.dot(v[items].T.dot(d[items] * weights)) / d
+    raise ValueError(f"unknown regime {model.regime!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +94,6 @@ class MPModel:
     @property
     def n_items(self):
         return len(self.counts)
-
-    @property
-    def ranking(self):
-        return np.lexsort((np.arange(self.n_items), -self.counts))
 
     def score_history(self, history):
         return self.counts.astype(float)
@@ -116,9 +116,9 @@ class SVDModel:
         return self.v.shape[0]
 
     def score_history(self, history):
-        p = np.zeros(self.n_items)
-        p[np.asarray(history, dtype=np.int64)] = 1.0
-        return _project_scores(self.v, self.scaling, self.regime, p)
+        # the user's binary row: a repeated item counts once
+        items = np.unique(np.asarray(history, dtype=np.int64))
+        return _project_scores(self, items, np.ones(len(items)))
 
 
 def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
@@ -264,13 +264,12 @@ class LocalAttentionModel:
 
     def score_history(self, history):
         # The most recent item moves to position K - 1; items shifted past
-        # position 1 (all but the K - 1 most recent) drop out.
+        # position 1 (all but the K - 1 most recent) drop out. A repeated
+        # item sums its positions' weights, the row sum of the user's slice.
         profile = self.position_profile
         recent = np.asarray(history, dtype=np.int64)
         recent = recent[max(len(recent) - len(profile), 0):]
-        p = np.zeros(self.n_items)
-        p[recent] = profile[len(profile) - len(recent):]
-        return _project_scores(self.v, self.scaling, self.regime, p)
+        return _project_scores(self, recent, profile[len(profile) - len(recent):])
 
 
 class LocalAttentionTrainer:

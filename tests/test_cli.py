@@ -96,6 +96,15 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("missing file: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["seed: [1\n", "5\n", "seed: 0\nK: abc\n"],
+                             ids=["malformed-yaml", "not-a-mapping", "non-integer-K"])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "prepare"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0)

@@ -289,18 +289,25 @@ class TestPositionalTensor:
         for u in range(12):
             items = rng.permutation(9)[: rng.integers(1, 9)]
             rows += [(u, int(j), t) for t, j in enumerate(items)]
-        log = make_log(rows, n_items=9)
         K = 4
-        x = build_positional_tensor(log, K)
-        lengths = np.bincount(log.users, minlength=12)
-        for u in range(12):
-            pos = np.sort(x.positions[x.users == u])
-            n_i = min(lengths[u], K)
-            assert len(pos) == n_i
-            if n_i:
-                assert pos[-1] == K
-                assert list(pos) == list(range(K - n_i + 1, K + 1))
-        assert len(x) <= 12 * K
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        # sorted rows, the same rows unsorted, users 3, 7 and 12-14 without
+        # events, and an empty log
+        logs = [make_log(rows, n_items=9), make_log(shuffled, n_items=9),
+                make_log([r for r in rows if r[0] not in (3, 7)], 15, 9), make_log([], 15, 9)]
+        tensors = [build_positional_tensor(log, K) for log in logs]
+        for log, x in zip(logs, tensors):
+            assert x.shape == (log.n_users, 9, K)
+            assert all(a.dtype == np.int64 for a in (x.users, x.items, x.positions))
+            assert (np.diff(x.users) >= 0).all()
+            for u in range(log.n_users):
+                mine = log.users == u
+                expected = log.items[mine][np.argsort(log.timestamps[mine])][-K:]
+                sel = x.users == u
+                assert list(x.items[sel]) == list(expected)
+                assert list(x.positions[sel]) == list(range(K - len(expected) + 1, K + 1))
+        for name in ("users", "items", "positions"):
+            assert np.array_equal(getattr(tensors[0], name), getattr(tensors[1], name))
 
     def test_deterministic(self):
         rows = [(u, j, u + j) for u in range(5) for j in range(4)]

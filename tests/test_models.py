@@ -1,5 +1,6 @@
 """Models: baselines, mode operators vs dense oracles, trainers, prediction, serialization."""
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -68,7 +69,7 @@ class TestMostPopular:
             [(0, 1)] * 7 + [(1, 2)] * 7 + [(2, 0)] * 3 + [(3, 3)])], 4, 4)
         mp = train_mp(log)
         assert list(mp.counts) == [3, 7, 7, 1]
-        assert list(mp.ranking) == [1, 2, 0, 3]
+        assert list(predict_next(mp, [0], 4, exclude_seen=False)) == [1, 2, 0, 3]
 
     def test_scores_are_counts(self):
         log = make_log([(0, 0, 0), (0, 2, 1), (1, 2, 2)], 2, 4)
@@ -124,6 +125,36 @@ class TestPureSVD:
         log = make_log([(0, 0, 0), (1, 1, 1)], 2, 3)
         with pytest.raises(ValueError, match="rank"):
             train_puresvd(log, r=3)
+
+    @pytest.mark.parametrize("s", [0.0, 0.4])
+    def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
+        # 60 x 50 at rank 5 is past DENSE_SVD_DIM: one ARPACK solve
+        dense = np.random.default_rng(3).random((60, 50)) < 0.2
+        rows = [(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))]
+        calls = []
+        svds = seqrec.linalg.svds
+        monkeypatch.setattr(seqrec.linalg, "svds",
+                            lambda *args, **kwargs: calls.append(1) or svds(*args, **kwargs))
+        svd = train_puresvd(make_log(rows, 60, 50), r=5, s=s)
+        assert len(calls) == 1
+        d = svd.scaling.d
+        vt = np.linalg.svd(dense * d, full_matrices=False)[2][:5]
+        projector = vt.T @ vt
+        assert np.abs(svd.v @ svd.v.T - projector).max() < 1e-10
+        hist = [3, 17, 42, 8]
+        p = np.zeros(50)
+        p[hist] = 1.0
+        for regime, scale in (("plain", np.ones(50)), ("restored", d)):
+            expected = (projector @ (scale * p)) / scale
+            scores = dataclasses.replace(svd, regime=regime).score_history(hist)
+            assert np.allclose(scores, expected, atol=1e-10)
+
+    def test_repeated_item_counts_once(self):
+        log = make_log([(u, (u + d) % 5, t) for t, (u, d) in enumerate(
+            (u, d) for u in range(6) for d in range(3))], 6, 5)
+        for regime in ("plain", "restored"):
+            svd = train_puresvd(log, r=3, s=0.0, regime=regime)
+            assert np.array_equal(svd.score_history([3, 1, 3]), svd.score_history([1, 3]))
 
     def test_restored_regime_formula(self):
         # restored scores are D^{-1} V V^T D p against a hand computation
@@ -527,6 +558,35 @@ class TestScoring:
         model = _SINGLE_POSITION_TRAINERS[kind](random_tensor(6, 5, 1, seed=11))
         for hist in ([2], [0, 3], [4, 1, 0]):
             assert np.array_equal(model.score_history(hist), np.zeros(5))
+
+    @pytest.mark.parametrize("regime", ["plain", "restored"])
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_repeated_item_sums_its_weights(self, kind, regime):
+        # the skew-diagonal oracle with each position's weight added to its
+        # item; whole-sequence attention is the window = K case
+        tensor = random_tensor(9, 8, 5, seed=10, min_len=2)
+        k = 5
+        if kind == "global":
+            model = train_gasatf(tensor, f=0.5, ranks=(4, 4, 2), s=0.5, seed=2, sweeps=2,
+                                 regime=regime)
+        else:
+            model = train_lasatf(tensor, window=2, f=0.5, ranks=(4, 4, 2, 2), s=0.5, seed=2,
+                                 sweeps=2, regime=regime)
+        window = model.attention.size
+        a = model.attention.dense()
+        left = a @ model.w_l @ np.linalg.solve(a.T, model.w_l)[-1]
+        right = model.w_s @ model.w_s[-1]
+        gamma = np.array([left @ hankelize(np.eye(k)[q], window).to_dense() @ right
+                          for q in range(k)])
+        d = model.scaling.d if regime == "restored" else np.ones(8)
+        for hist in ([1, 6, 1, 3], [4, 4], [2, 0, 2, 5, 2, 7], [3, 0, 1, 2, 3]):
+            p = np.zeros(8)
+            for back, item in enumerate(reversed(hist)):
+                pos = k - back
+                if pos - 1 >= 1:
+                    p[item] += gamma[pos - 2]
+            expected = (model.v @ (model.v.T @ (d * p))) / d
+            assert np.allclose(model.score_history(hist), expected, atol=1e-10)
 
     def test_position_profile_built_once_per_model(self, monkeypatch):
         tensor = random_tensor(9, 8, 5, seed=10, min_len=2)
