@@ -72,9 +72,15 @@ def load_config(path, preset=None, overrides=None):
         _deep_update(config, overrides)
     if "seed" not in config:
         raise ConfigError("config must set a seed (reproducibility is mandatory)")
-    k = config.get("K", 1)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ConfigError(f"K must be an integer >= 1, got {k!r}")
+    for key in ("dataset", "split", "model"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a mapping, got {config[key]!r}")
+    for key in ("seed", "K", "core", "n", "budget", "patience", "max_sweeps"):
+        val = config.get(key, 1)
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{key} must be an integer, got {val!r}")
+    if config.get("K", 1) < 1:
+        raise ConfigError(f"K must be an integer >= 1, got {config['K']!r}")
     return config
 
 
@@ -111,7 +117,7 @@ def cmd_prepare(config, args):
         time_col=ds.get("time_col", "timestamp"),
         header=ds.get("header", True),
     )
-    core = int(config.get("core", 5))
+    core = config.get("core", 5)
     if core > 1:
         log = dp.core_filter(log, core)
     split = dp.timepoint_split(log, *_resolve_boundaries(log, config.get("split", {})))
@@ -144,7 +150,7 @@ def _clip(values, cap):
 def _grid_space(kind, config, m, n_items, k):
     model_cfg = config.get("model", {})
     grid = dict(model_cfg.get("grid", {}))
-    budget = int(config.get("budget", 200))
+    budget = config.get("budget", 200)
     if kind == "mp":
         return GridSpace(values={"_": [0]}, budget=budget)
     if kind == "svd":
@@ -186,7 +192,7 @@ def _grid_space(kind, config, m, n_items, k):
 
 
 def _factory(kind, train_log, tensor, seed, config):
-    k = int(config.get("K", 50))
+    k = config.get("K", 50)
 
     # The regime only changes how an SVD model scores, and the grid enumerates
     # it last, so points sharing (rank, s) are adjacent: a one-entry cache
@@ -224,16 +230,16 @@ def cmd_tune(config, args):
         raise FileNotFoundError(f"prepared split not found: {split_path} (run prepare first)")
     split = dp.load_split(split_path)
     kind = config.get("model", {}).get("kind", "local")
-    seed = int(config["seed"])
-    n = int(config.get("n", 10))
-    k = int(config.get("K", 50))
+    seed = config["seed"]
+    n = config.get("n", 10)
+    k = config.get("K", 50)
     tensor = dp.build_positional_tensor(split.train, k) if kind in ("global", "local") else None
     space = _grid_space(kind, config, split.train.n_users, split.train.n_items, k)
     best, log = grid_search(
         space, _factory(kind, split.train, tensor, seed, config),
         split.train, split.validation, n=n, seed=seed,
-        patience=int(config.get("patience", 3)),
-        max_sweeps=int(config.get("max_sweeps", 10)),
+        patience=config.get("patience", 3),
+        max_sweeps=config.get("max_sweeps", 10),
     )
     with open(out / "grid_log.jsonl", "w") as fh:
         for point in log:
@@ -264,9 +270,9 @@ def cmd_final(config, args):
     tuned = json.loads(best_path.read_text())
     kind = tuned["kind"]
     point = tuned["config"]
-    seed = int(config["seed"])
-    n = int(config.get("n", 10))
-    k = int(config.get("K", 50))
+    seed = config["seed"]
+    n = config.get("n", 10)
+    k = config.get("K", 50)
     sweeps = max(1, int(tuned.get("sweep_count", 1)))
 
     merged = _merge_logs(split.train, split.validation)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
+from scipy.sparse.linalg import LinearOperator, svds
 
 __all__ = [
     "ConvergenceError",
@@ -18,14 +18,19 @@ __all__ = [
 
 FFT_CROSSOVER = 32
 SVD_TOL = 1e-8
-MAX_SVD_ITER = 300
+# PROPACK does not restart, so its basis must hold the whole run: scipy's 10 * r
+# stops short at small r (r = 2-20 took 46-204 steps on 300-2000-row matrices).
+MIN_LANCZOS_BASIS = 300
 DENSE_SVD_DIM = 32
+# Largest operator (rows * cols) a failed PROPACK run may materialize: 32 MB.
+DENSE_FALLBACK_SIZE = 1 << 22
+# svds hands PROPACK tol**2: the search for a missed triplet stops at 1e-4,
+# where its top Ritz value (a lower bound) already shows a miss of 1e-4 or more.
+MISS_SEARCH_TOL = 1e-2
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The truncated SVD of an operator could not be computed."""
 
 
 @dataclass
@@ -61,35 +66,70 @@ def random_orthonormal(n, r, seed):
     return q
 
 
-def _dense_left_vectors(dense, r):
-    u, s, _ = np.linalg.svd(dense, full_matrices=False)
-    return u[:, :r], s[:r]
+def _propack(op, k, rng, tol=SVD_TOL):
+    u, s, _ = svds(op, k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
+                   maxiter=max(10 * k, MIN_LANCZOS_BASIS), solver="propack", rng=rng)
+    order = np.argsort(s)[::-1]
+    return u[:, order], s[order]
+
+
+def _deflated(op, u):
+    """(I - U U^T) A: the operator with the columns of U projected out of its range."""
+    def project(x):
+        return x - u @ (u.T @ x)
+
+    return LinearOperator(shape=op.shape, dtype=float, matvec=lambda x: project(op.matvec(x)),
+                          rmatvec=lambda y: op.rmatvec(project(y)))
+
+
+def _checked_propack(op, r, rng):
+    """PROPACK's top-r triplets, checked; LinAlgError when they cannot be trusted."""
+    u, s = _propack(op, r, rng)
+    # Ghost copies of a singular vector show as drift; a vector that mixes
+    # singular directions shows as a residual of A A^T U c = U s^2 c.
+    drift = np.abs(u.T @ u - np.eye(r)).max()
+    c = rng.standard_normal(r)
+    residual = np.linalg.norm(op.matvec(op.rmatvec(u @ c)) - u @ (s * s * c))
+    if drift > 1e-6 or residual > 1e-6 * s[0] ** 2 * np.linalg.norm(c):
+        raise np.linalg.LinAlgError(
+            f"inaccurate triplets (drift {drift:.1e}, residual {residual:.1e})")
+    if drift > 1e-10:
+        u, _ = np.linalg.qr(u)
+    # A single-vector Lanczos run can find one copy of a repeated singular
+    # value; the deflated operator's top triplet is the largest one missed.
+    while r < min(op.shape):
+        deflated = _deflated(op, u)
+        if _propack(deflated, 1, rng, tol=MISS_SEARCH_TOL)[1][0] <= s[-1] + 1e-6 * s[0]:
+            break
+        u_miss, s_miss = _propack(deflated, 1, rng)
+        u, s = np.column_stack([u[:, :-1], u_miss]), np.append(s[:-1], s_miss)
+        order = np.argsort(s)[::-1]
+        u, s = u[:, order], s[order]
+    return u, s
 
 
 def truncated_svd(y, r, seed=0, exact=False):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values. Uses an iterative Krylov solver; small or full-rank
-    problems (and ``exact=True``) fall back to a dense SVD.
+    singular values, from PROPACK seeded by ``seed``. Small problems, ``exact``
+    and PROPACK failures at r >= min - 1 (a breakdown at the operator's rank)
+    or on at most DENSE_FALLBACK_SIZE entries use a dense SVD.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
-    if exact or min(rows, cols) <= DENSE_SVD_DIM or r >= min(rows, cols) - 1:
-        return _dense_left_vectors(y.materialize(), r)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(min(rows, cols))
+    if not exact and min(rows, cols) > DENSE_SVD_DIM:
+        try:
+            return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed))
+        except np.linalg.LinAlgError as exc:
+            if r < min(rows, cols) - 1 and rows * cols > DENSE_FALLBACK_SIZE:
+                raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
     try:
-        u, s, _ = svds(y.to_linear_operator(), k=r, v0=v0, maxiter=MAX_SVD_ITER, tol=SVD_TOL)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError("truncated SVD failed to converge",
-                               residual=getattr(exc, "eigenvalues", None)) from exc
-    order = np.argsort(s)[::-1]
-    u, s = u[:, order], s[order]
-    if np.abs(u.T @ u - np.eye(r)).max() > 1e-10:
-        u, _ = np.linalg.qr(u)
-    return u, s
+        u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+    return u[:, :r], s[:r]
 
 
 @dataclass(frozen=True)

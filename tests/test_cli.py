@@ -3,10 +3,12 @@
 import gzip
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 import seqrec.cli
+import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
 from seqrec.cli import main
@@ -104,6 +106,19 @@ class TestPrepare:
         assert main(["--config", str(cfg), "prepare"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("extra", [
+        {"dataset": 5}, {"split": 5}, {"model": 5}, {"split": None},
+        {"core": "abc"}, {"n": 2.5}, {"budget": "10"}, {"patience": True},
+        {"max_sweeps": [2]}, {"seed": "x"},
+    ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
+    def test_bad_section_or_integer_exit_2(self, tmp_path, capsys, extra):
+        cfg, _ = _toy_config(tmp_path, **extra)
+        for command in ("prepare", "tune"):
+            assert main(["--config", str(cfg), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+            assert next(iter(extra)) in err
 
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
@@ -213,6 +228,39 @@ class TestTune:
         assert main(["--config", str(cfg), "tune"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+    def test_dense_svd_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tune"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: truncated SVD failed to converge: SVD did not converge\n"
+
+
+    def test_propack_failure_on_large_operator_exit_1(self, tmp_path, monkeypatch, capsys):
+        # no dense fallback past DENSE_FALLBACK_SIZE: the toy operators stand in
+        # for large ones
+        cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
+
+        monkeypatch.setattr(seqrec.linalg, "svds", failing)
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_DIM", 0)
+        monkeypatch.setattr(seqrec.linalg, "DENSE_FALLBACK_SIZE", 0)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tune"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: truncated SVD failed to converge: "
+                       "k=1 singular triplets did not converge\n")
 
 
 class TestFinalAndReport:

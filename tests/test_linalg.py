@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqrec.linalg
 from seqrec.linalg import (
+    DENSE_FALLBACK_SIZE,
+    DENSE_SVD_DIM,
+    ConvergenceError,
     ImplicitMatrix,
     random_orthonormal,
     skew_block_cache,
@@ -16,6 +20,22 @@ from seqrec.linalg import (
 def _implicit_from_dense(a):
     return ImplicitMatrix(shape=a.shape, matvec=lambda v: a @ v,
                           rmatvec=lambda u: a.T @ u)
+
+
+def _iterative_only(a):
+    """Implicit view of ``a`` that fails if the dense fallback materializes it."""
+    y = _implicit_from_dense(a)
+
+    def refuse():
+        raise AssertionError("dense fallback taken")
+
+    y.materialize = refuse
+    return y
+
+
+def _low_rank(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
 
 
 def _principal_angle(u, v):
@@ -97,6 +117,149 @@ class TestTruncatedSvd:
         u2, s2 = truncated_svd(y, 3, seed=0, exact=True)
         assert np.allclose(s1, s2, atol=1e-8)
         assert _principal_angle(u1, u2) < 1e-8
+
+
+def _stress_matrix(seed, trial):
+    """Matrix ``trial`` of a seeded stress run over sparse 0/1 matrices, every
+    third one with a third of its rows zeroed and every third with duplicated rows."""
+    rng = np.random.default_rng(seed)
+    for t in range(trial + 1):
+        m, n = int(rng.integers(40, 300)), int(rng.integers(40, 300))
+        a = (rng.random((m, n)) < rng.uniform(0.01, 0.2)).astype(float)
+        if t % 3 == 1:
+            a[rng.integers(0, m, m // 3)] = 0
+        elif t % 3 == 2:
+            a = a[rng.integers(0, m // 4 + 1, m)]
+        rng.integers(0, 8)  # the stress run drew its rank here
+    return a
+
+
+def _assert_matches_oracle(a, u, s):
+    """sigma within 1e-10 of sigma_1; the subspace wherever a gap fixes it."""
+    r = len(s)
+    u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+    assert np.abs(s - s_ref[:r]).max() <= 1e-10 * s_ref[0]
+    assert np.abs(u.T @ u - np.eye(r)).max() < 1e-10
+    fixed = r if r == len(s_ref) else int(np.sum(s_ref[:r] > s_ref[r] + 1e-8 * s_ref[0]))
+    assert _principal_angle(u[:, :fixed], u_ref[:, :fixed]) < 1e-8
+
+
+class TestPropackSolver:
+    """The iterative path on operators with both sides past DENSE_SVD_DIM."""
+
+    @pytest.mark.parametrize("shape", [(70, 45), (45, 70)], ids=["tall", "wide"])
+    def test_same_seed_is_bitwise_identical(self, shape):
+        # r = rank + 1: PROPACK draws a restart vector from its own generator,
+        # so the result repeats only when that generator is seeded too
+        a = _low_rank(*shape, 5, seed=16)
+        assert min(shape) > DENSE_SVD_DIM
+        u1, s1 = truncated_svd(_iterative_only(a), 6, seed=11)
+        u2, s2 = truncated_svd(_iterative_only(a), 6, seed=11)
+        assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("shape, r", [
+        ((70, 45), 45), ((70, 45), 44), ((45, 70), 45), ((45, 70), 44), ((40, 90), 5),
+    ], ids=["tall-r=min", "tall-r=min-1", "wide-r=min", "wide-r=min-1", "wide-r=5"])
+    def test_matches_oracle(self, shape, r):
+        a = np.random.default_rng(10).standard_normal(shape)
+        u, s = truncated_svd(_iterative_only(a), r, seed=0)
+        _assert_matches_oracle(a, u, s)
+
+    def test_small_rank_on_large_sparse_operator_converges(self):
+        # r = 2 on 600 x 500: PROPACK needs more Lanczos steps than 10 * r
+        a = (np.random.default_rng(12).random((600, 500)) < 0.02).astype(float)
+        u, s = truncated_svd(_iterative_only(a), 2, seed=0)
+        _assert_matches_oracle(a, u, s)
+
+    @pytest.mark.parametrize("seed, trial, r, view", [
+        # 97 x 149 with sigma = sqrt(3) four times: PROPACK alone returns three
+        # copies at r = 17, and the deflated solve finds the fourth
+        (1, 136, 17, _iterative_only),
+        # 292 x 53: at r = 26 PROPACK returns vectors that mix singular
+        # directions across the cut (subspace off by 0.04); the dense SVD answers
+        (11, 94, 26, _implicit_from_dense),
+    ], ids=["repeated-sigma", "mixed-vectors"])
+    def test_stress_matrix_matches_oracle(self, seed, trial, r, view):
+        a = _stress_matrix(seed, trial)
+        u, s = truncated_svd(view(a), r, seed=3)
+        _assert_matches_oracle(a, u, s)
+
+    def test_each_missed_copy_is_swapped_in(self, monkeypatch):
+        # per missed copy: a loose solve on the deflated operator finds it and
+        # an exact one returns it; a last loose solve finds nothing above 5
+        q1, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((60, 45)))
+        q2, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((45, 45)))
+        sigma = np.array([10.0, 9, 8, 7, 7, 7] + list(np.linspace(5, 1, 39)))
+        a = (q1 * sigma) @ q2.T
+        svds = seqrec.linalg.svds
+        calls = []
+
+        def missing_two_copies(op, k, **kwargs):
+            calls.append(k)
+            if k == 1:
+                return svds(op, k=k, **kwargs)
+            keep = [0, 1, 2, 3, 6, 7]  # drops two copies of 7
+            return q1[:, keep], sigma[keep], q2[:, keep].T
+
+        monkeypatch.setattr(seqrec.linalg, "svds", missing_two_copies)
+        u, s = truncated_svd(_iterative_only(a), 6, seed=0)
+        assert calls == [6, 1, 1, 1, 1, 1]
+        _assert_matches_oracle(a, u, s)
+
+    @pytest.mark.parametrize("bad", ["raise", "ghost", "mixed"])
+    def test_failed_lanczos_run_falls_back_to_dense(self, monkeypatch, bad):
+        a = np.random.default_rng(15).standard_normal((50, 40))
+        u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+        mixed = u_ref[:, :3].copy()  # the third vector leans toward the fourth
+        mixed[:, 2] = (u_ref[:, 2] + 1e-2 * u_ref[:, 3]) / np.hypot(1, 1e-2)
+        triplets = {"ghost": (u_ref[:, [1, 1, 0]], s_ref[[1, 1, 0]], vt_ref[[1, 1, 0]]),
+                    "mixed": (mixed, s_ref[:3], vt_ref[:3])}
+
+        def propack(*args, **kwargs):
+            if bad == "raise":
+                raise np.linalg.LinAlgError("k=3 singular triplets did not converge")
+            return triplets[bad]
+
+        monkeypatch.setattr(seqrec.linalg, "svds", propack)
+        u, s = truncated_svd(_implicit_from_dense(a), 3, seed=0)
+        _assert_matches_oracle(a, u, s)
+
+    @pytest.mark.parametrize("r", [25, 40])
+    def test_rank_above_operator_rank_falls_back_to_dense(self, r):
+        # rank 20 < r: the Lanczos run breaks down and the dense SVD answers
+        a = _low_rank(60, 40, 20, seed=13)
+        u, s = truncated_svd(_implicit_from_dense(a), r, seed=1)
+        u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+        assert np.abs(s - s_ref[:r]).max() <= 1e-10 * s_ref[0]
+        assert np.abs(u.T @ u - np.eye(r)).max() < 1e-10
+        assert _principal_angle(u[:, :20], u_ref[:, :20]) < 1e-8
+
+    @pytest.mark.parametrize("bad, message", [
+        ("raise", "k=5 singular triplets did not converge"), ("ghost", "inaccurate triplets"),
+    ])
+    def test_failed_lanczos_run_on_large_operator_raises(self, monkeypatch, bad, message):
+        # 3000 x 2000 is past DENSE_FALLBACK_SIZE: no dense matrix is built
+        def propack(*args, **kwargs):
+            if bad == "raise":
+                raise np.linalg.LinAlgError("k=5 singular triplets did not converge")
+            return np.eye(3000)[:, [0, 0, 1, 2, 3]], np.ones(5), np.eye(2000)[[0, 0, 1, 2, 3]]
+
+        monkeypatch.setattr(seqrec.linalg, "svds", propack)
+        y = ImplicitMatrix((3000, 2000), matvec=lambda x: np.zeros(3000),
+                           rmatvec=lambda x: np.zeros(2000))
+        y.materialize = lambda: pytest.fail("dense fallback taken")
+        assert 3000 * 2000 > DENSE_FALLBACK_SIZE
+        with pytest.raises(ConvergenceError, match=message):
+            truncated_svd(y, 5, seed=0)
+
+    def test_dense_failure_raises_convergence_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(seqrec.linalg, "svds", failing)
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            truncated_svd(_implicit_from_dense(np.ones((50, 40))), 5, seed=0)
 
 
 class TestImplicitMatrix:

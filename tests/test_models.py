@@ -128,15 +128,16 @@ class TestPureSVD:
 
     @pytest.mark.parametrize("s", [0.0, 0.4])
     def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
-        # 60 x 50 at rank 5 is past DENSE_SVD_DIM: one ARPACK solve
+        # 60 x 50 at rank 5 is past DENSE_SVD_DIM: one PROPACK solve, then
+        # the one-vector solve on the deflated operator that finds no missed copy
         dense = np.random.default_rng(3).random((60, 50)) < 0.2
         rows = [(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))]
         calls = []
         svds = seqrec.linalg.svds
-        monkeypatch.setattr(seqrec.linalg, "svds",
-                            lambda *args, **kwargs: calls.append(1) or svds(*args, **kwargs))
+        monkeypatch.setattr(seqrec.linalg, "svds", lambda *args, **kwargs:
+                            calls.append(kwargs["k"]) or svds(*args, **kwargs))
         svd = train_puresvd(make_log(rows, 60, 50), r=5, s=s)
-        assert len(calls) == 1
+        assert calls == [5, 1]
         d = svd.scaling.d
         vt = np.linalg.svd(dense * d, full_matrices=False)[2][:5]
         projector = vt.T @ vt
@@ -309,7 +310,7 @@ def test_column_inputs_through_linear_operator(name):
 
 def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, sweeps=3):
     """Trainers built by ``make(exact_svd)`` agree sweep by sweep, and the
-    iterative one sends operators of ``iterative_shapes`` to ARPACK."""
+    iterative one sends operators of ``iterative_shapes`` to PROPACK."""
     shapes = []
     svds = seqrec.linalg.svds
 
@@ -330,7 +331,7 @@ def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, 
 
 
 class TestIterativeAgreesWithExact:
-    """ARPACK on tall and wide unfoldings against dense SVDs."""
+    """PROPACK on tall and wide unfoldings against dense SVDs."""
 
     def test_global_wide_mode_one(self, monkeypatch):
         tensor = random_tensor(50, 80, 12, seed=0)
@@ -345,7 +346,7 @@ class TestIterativeAgreesWithExact:
             exact_svd=exact), [(50, 100), (80, 50)], ("u", "v", "w_l", "w_s"))
 
     def test_local_long_window_mode_three(self, monkeypatch):
-        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding goes to ARPACK
+        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding goes to PROPACK
         tensor = random_tensor(30, 40, 40, seed=1, min_len=5)
         _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
             tensor, 34, build_attention(34, f=1.0), (4, 4, 2, 3), seed=0,

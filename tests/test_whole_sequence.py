@@ -19,7 +19,7 @@ from seqrec.models import (
 @pytest.mark.parametrize("shape, ranks", [((9, 8, 5), (4, 4, 3)),
                                           ((50, 80, 12), (10, 20, 5))])
 def test_global_equals_windowed_at_window_k(monkeypatch, exact_svd, regime, shape, ranks):
-    # (50, 80, 12) sends the 50 x 100 and 80 x 50 unfoldings to ARPACK
+    # (50, 80, 12) sends the 50 x 100 and 80 x 50 unfoldings to PROPACK
     modes = []
     operator = seqrec.models.la_mode_operator
 
