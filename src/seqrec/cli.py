@@ -75,10 +75,19 @@ def load_config(path, preset=None, overrides=None):
     for key in ("dataset", "split", "model"):
         if not isinstance(config.get(key, {}), dict):
             raise ConfigError(f"{key} must be a mapping, got {config[key]!r}")
-    for key in ("seed", "K", "core", "n", "budget", "patience", "max_sweeps"):
-        val = config.get(key, 1)
+    split, model = config.get("split", {}), config.get("model", {})
+    integers = {key: config.get(key, 1)
+                for key in ("seed", "K", "core", "n", "budget", "patience", "max_sweeps")}
+    integers.update((f"split.{key}", split[key]) for key in
+                    ("t_valid", "t_test", "valid_count", "test_count") if key in split)
+    for key, val in integers.items():
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{key} must be an integer, got {val!r}")
+    grid = model.get("grid", {})
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError(f"model.grid must map each parameter to a list, got {grid!r}")
+    if not isinstance(model.get("window_values", []), list):
+        raise ConfigError(f"model.window_values must be a list, got {model['window_values']!r}")
     if config.get("K", 1) < 1:
         raise ConfigError(f"K must be an integer >= 1, got {config['K']!r}")
     return config
@@ -92,12 +101,12 @@ def _out_dir(config, args):
 
 def _resolve_boundaries(log, split_cfg):
     if "t_valid" in split_cfg and "t_test" in split_cfg:
-        return int(split_cfg["t_valid"]), int(split_cfg["t_test"])
+        return split_cfg["t_valid"], split_cfg["t_test"]
     if "valid_count" in split_cfg and "test_count" in split_cfg:
-        t_test = dp.boundary_for_count(log, int(split_cfg["test_count"]))
+        t_test = dp.boundary_for_count(log, split_cfg["test_count"])
         head = log.replace_events(*(arr[log.timestamps < t_test]
                                     for arr in (log.users, log.items, log.timestamps)))
-        t_valid = dp.boundary_for_count(head, int(split_cfg["valid_count"]))
+        t_valid = dp.boundary_for_count(head, split_cfg["valid_count"])
         return t_valid, t_test
     raise ConfigError("split must set t_valid/t_test or valid_count/test_count")
 
@@ -149,7 +158,7 @@ def _clip(values, cap):
 
 def _grid_space(kind, config, m, n_items, k):
     model_cfg = config.get("model", {})
-    grid = dict(model_cfg.get("grid", {}))
+    grid = model_cfg.get("grid", {})
     budget = config.get("budget", 200)
     if kind == "mp":
         return GridSpace(values={"_": [0]}, budget=budget)

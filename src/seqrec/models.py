@@ -81,6 +81,66 @@ def _project_scores(model, items, weights):
     raise ValueError(f"unknown regime {model.regime!r}")
 
 
+def _block_scorer(model):
+    """Scoring for blocks of histories: returns ``score(items, indptr)``,
+    which gives the catalog scores of the block, one row per history, and per
+    row a bound ``tau`` on how far a row may lie from ``score_history``'s.
+
+    History b is ``items[indptr[b]:indptr[b + 1]]``, oldest first, all inside
+    the catalog. Each row gets the weights ``score_history`` projects: PureSVD
+    gives each distinct item 1, the attention models give the K - 1 most
+    recent items the position profile tail, and popularity's row is its
+    counts, so its bound is 0. The block is projected as ``(H V) V^T`` (times
+    ``D^-1`` and with ``d`` in ``H`` when restored), which rounds differently
+    from the per-history products. Both stay within ``gamma_k |V| |V|^T |h|``
+    of exact arithmetic (``gamma_k = k u / (1 - k u)``, k counting the
+    roundings along one score), and ``tau`` sums the two bounds, taking
+    ``max_j |V_j| |V_i| <= max_j ||V_j|| ||V_i||``. A model without a block
+    form gets an infinite bound, which sends every row to ``predict_next``.
+    """
+    kind = getattr(model, "kind", None)
+    if kind not in ("mp", "svd", "global", "local"):
+        return lambda items, indptr: (np.zeros((len(indptr) - 1, model.n_items)),
+                                      np.full(len(indptr) - 1, np.inf))
+    if kind == "mp":
+        counts = model.counts.astype(float)
+        return lambda items, indptr: (np.tile(counts, (len(indptr) - 1, 1)),
+                                      np.zeros(len(indptr) - 1))
+    if model.regime not in ("plain", "restored"):
+        raise ValueError(f"unknown regime {model.regime!r}")
+    v = np.ascontiguousarray(model.v)
+    d = model.scaling.d if model.regime == "restored" else None
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    # tau per unit of gamma_k and of sum_i |h_i| ||V_i||
+    scale = 2 * norms.max() * ((1 / d).max() if d is not None else 1.0)
+    unit = np.finfo(float).eps / 2
+
+    def score(items, indptr):
+        lengths = np.diff(indptr)
+        if kind == "svd":
+            weights = np.ones(len(items))
+        else:
+            profile = model.position_profile
+            slot = np.arange(len(items)) - np.repeat(indptr[1:] - len(profile), lengths)
+            kept = slot >= 0
+            items, weights = items[kept], profile[slot[kept]]
+            lengths = np.minimum(lengths, len(profile))
+        h = sp.csr_matrix((weights, items, np.concatenate(([0], np.cumsum(lengths)))),
+                          shape=(len(lengths), model.n_items))
+        if kind == "svd":
+            h.sum_duplicates()
+            h.data[:] = 1.0  # the user's binary row: a repeated item counts once
+        if d is not None:
+            h.data *= d[h.indices]
+        scores = (h @ v) @ v.T
+        if d is not None:
+            scores /= d
+        k = v.shape[1] + 2 * lengths + 3
+        return scores, k * unit / (1 - k * unit) * scale * (abs(h) @ norms)
+
+    return score
+
+
 # ---------------------------------------------------------------------------
 # baselines
 

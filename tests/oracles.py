@@ -158,3 +158,49 @@ def hankelize(p, window):
     if not 1 <= window <= len(p):
         raise ValueError(f"window must be in [1, {len(p)}], got {window}")
     return HankelView(source=p, n_rows=window)
+
+
+def evaluate_reference(model, train, test, n=10):
+    """The evaluation walk one event at a time: each user's history is a list
+    that grows by every test target, cold or not, and each warm event is
+    ranked by :func:`predict_next`."""
+    from seqrec.evaluation import EvaluationReport, ndcg_single
+    from seqrec.models import ColdUserError, predict_next
+
+    def se(values):
+        values = np.asarray(values, dtype=float)
+        return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+
+    if len(test) == 0:
+        raise ValueError("empty test split")
+    histories = {}
+    order = np.lexsort((np.arange(len(train)), train.timestamps, train.users))
+    for user, item in zip(train.users[order].tolist(), train.items[order].tolist()):
+        histories.setdefault(user, []).append(item)
+    test_order = np.lexsort((np.arange(len(test)), test.timestamps))
+    hits, gains = [], []
+    recommended = set()
+    skipped = 0
+    for user, target in zip(test.users[test_order].tolist(), test.items[test_order].tolist()):
+        history = histories.setdefault(user, [])
+        try:
+            top = predict_next(model, history, n, exclude_seen=True)
+        except ColdUserError:
+            skipped += 1
+            history.append(target)
+            continue
+        recommended.update(top.tolist())
+        where = np.flatnonzero(top == target)
+        rank = int(where[0]) + 1 if len(where) else None
+        hits.append(1.0 if rank is not None else 0.0)
+        gains.append(ndcg_single(rank, n))
+        history.append(target)
+    if not hits:
+        return EvaluationReport(hr=0.0, hr_se=0.0, ndcg=0.0, ndcg_se=0.0, cov=0.0,
+                                n=n, evaluated_count=0, skipped_cold_count=skipped)
+    return EvaluationReport(
+        hr=float(np.mean(hits)), hr_se=se(hits),
+        ndcg=float(np.mean(gains)), ndcg_se=se(gains),
+        cov=len(recommended) / model.n_items,
+        n=n, evaluated_count=len(hits), skipped_cold_count=skipped,
+    )

@@ -111,6 +111,10 @@ class TestPrepare:
         {"dataset": 5}, {"split": 5}, {"model": 5}, {"split": None},
         {"core": "abc"}, {"n": 2.5}, {"budget": "10"}, {"patience": True},
         {"max_sweeps": [2]}, {"seed": "x"},
+        {"model": {"kind": "svd", "grid": 5}}, {"model": {"kind": "svd", "grid": {"rank": 5}}},
+        {"model": {"kind": "local", "window_values": 3}},
+        {"split": {"t_valid": "abc", "t_test": 3}},
+        {"split": {"valid_count": 1.5, "test_count": 1}},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
     def test_bad_section_or_integer_exit_2(self, tmp_path, capsys, extra):
         cfg, _ = _toy_config(tmp_path, **extra)

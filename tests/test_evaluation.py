@@ -8,6 +8,8 @@ import pytest
 
 import seqrec.evaluation
 from helpers import make_log
+from oracles import evaluate_reference
+from seqrec.data import build_positional_tensor
 from seqrec.evaluation import (
     GridSpace,
     early_stopping_train,
@@ -15,7 +17,16 @@ from seqrec.evaluation import (
     grid_search,
     ndcg_single,
 )
-from seqrec.models import train_mp
+from seqrec.linalg import random_orthonormal
+from seqrec.models import (
+    SVDModel,
+    build_scaling,
+    predict_next,
+    train_gasatf,
+    train_lasatf,
+    train_mp,
+    train_puresvd,
+)
 
 
 class TestNdcgSingle:
@@ -101,6 +112,130 @@ class TestEvaluate:
         for n in (1, 2, 3, 5):
             report = evaluate(model, train, test, n=n)
             assert 0.0 <= report.ndcg <= report.hr <= 1.0
+
+
+N_USERS, N_ITEMS, BLOCK_ROWS = 12, 9, 4
+
+
+def _random_split(seed, n_test, cold):
+    """Train histories with repeated items for users 0-9 (users 10 and 11 have
+    none), and a test log whose users repeat, whose timestamps tie and whose
+    last item index lies outside the catalog."""
+    rng = np.random.default_rng(seed)
+    rows = [(u, int(rng.integers(N_ITEMS)), t)
+            for u in range(N_USERS - 2) for t in range(int(rng.integers(2, 7)))]
+    train = make_log(rows, N_USERS, N_ITEMS)
+    users = rng.integers(0, N_USERS if cold else N_USERS - 2, size=n_test)
+    test = make_log([(int(u), int(rng.integers(N_ITEMS + 1)), 100 + int(rng.integers(4)))
+                     for u in users], N_USERS, N_ITEMS + 1)
+    return train, test
+
+
+def _model(kind, train):
+    if kind == "mp":
+        return train_mp(train)
+    if kind.startswith("svd"):
+        return train_puresvd(train, r=3, s=0.5, regime=kind.split("-")[1])
+    tensor = build_positional_tensor(train, 4)
+    if kind == "global":
+        return train_gasatf(tensor, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0, sweeps=2,
+                            regime="restored")
+    return train_lasatf(tensor, window=2, f=0.5, ranks=(4, 3, 2, 2), s=0.5, seed=0,
+                        sweeps=2, regime=kind.split("-")[1])
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(seqrec.evaluation, "BLOCK_BYTES", 16 * N_ITEMS * BLOCK_ROWS)
+
+
+def _counting_predict_next(monkeypatch):
+    calls = []
+    inner = seqrec.evaluation.predict_next
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(seqrec.evaluation, "predict_next", counting)
+    return calls
+
+
+def _tied_svd(seed):
+    """A plain PureSVD model whose items 5-8 repeat the V rows of items 0-3,
+    so their scores tie exactly."""
+    v = random_orthonormal(N_ITEMS, 3, seed)
+    v[5:] = v[:4]
+    return SVDModel(v=v, scaling=build_scaling(np.ones(N_ITEMS), 1.0), regime="plain")
+
+
+class TestBatchedWalk:
+    """The block walk against the per-event reference walk in ``oracles``."""
+
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("n_test, cold", [
+        (1, False), (BLOCK_ROWS, False), (BLOCK_ROWS + 1, False), (23, True)],
+        ids=["one-event", "one-block", "block-plus-one", "cold-and-repeat-users"])
+    @pytest.mark.parametrize("kind", ["mp", "svd-plain", "svd-restored", "global",
+                                      "local-plain", "local-restored"])
+    def test_matches_reference_walk(self, small_blocks, kind, n_test, cold, n):
+        train, test = _random_split(n_test, n_test, cold)
+        model = _model(kind, train)
+        report = evaluate(model, train, test, n=n)
+        assert report == evaluate_reference(model, train, test, n=n)
+        assert report.evaluated_count + report.skipped_cold_count == n_test
+        if not cold:
+            assert report.skipped_cold_count == 0
+
+    def test_default_block_matches_reference_walk(self):
+        train, test = _random_split(5, 40, True)
+        for kind in ("svd-restored", "local-plain"):
+            model = _model(kind, train)
+            assert evaluate(model, train, test, n=3) == evaluate_reference(
+                model, train, test, n=3)
+
+    def test_untied_rows_skip_predict_next(self, small_blocks, monkeypatch):
+        train, test = _random_split(3, 23, True)
+        model = _model("svd-plain", train)
+        expected = evaluate_reference(model, train, test, n=3)
+        calls = _counting_predict_next(monkeypatch)
+        assert evaluate(model, train, test, n=3) == expected
+        assert len(calls) < expected.evaluated_count // 2
+
+    def test_exact_ties_go_through_predict_next(self, small_blocks, monkeypatch):
+        train, test = _random_split(4, 23, True)
+        model = _tied_svd(0)
+        expected = evaluate_reference(model, train, test, n=6)
+        calls = _counting_predict_next(monkeypatch)
+        assert evaluate(model, train, test, n=6) == expected
+        # a top-7 out of 9 items always holds one of the four tied pairs
+        assert len(calls) == expected.evaluated_count
+
+    def test_rows_within_half_the_bound_rank_alike(self):
+        # Moving every block score by up to tau / 2 breaks the exact ties one
+        # way or the other. Rows whose top gaps do not clear 2 tau must still
+        # get predict_next's list, tie order included.
+        model = _tied_svd(1)
+        rng = np.random.default_rng(0)
+        histories = [rng.choice(N_ITEMS, size=int(rng.integers(1, 4)), replace=False)
+                     for _ in range(30)]
+        ends = np.cumsum([len(h) for h in histories])
+        starts = ends - [len(h) for h in histories]
+        inner = seqrec.evaluation._block_scorer(model)
+
+        def jittered(*args):
+            scores, tau = inner(*args)
+            return scores + rng.choice([-0.5, 0.5], size=scores.shape) * tau[:, None], tau
+
+        top = seqrec.evaluation._rank_block(model, jittered, np.concatenate(histories),
+                                            starts, ends, 6)
+        for row, history in enumerate(histories):
+            assert top[row].tolist() == predict_next(model, history, 6).tolist()
+
+    def test_cutoff_below_one_rejected(self):
+        train, test = _random_split(0, 3, False)
+        with pytest.raises(ValueError, match="n must be"):
+            evaluate(_model("svd-plain", train), train, test, n=0)
 
 
 class _ScriptedTrainer:

@@ -21,6 +21,7 @@ from oracles import (
 from helpers import make_log
 import seqrec.linalg
 import seqrec.models
+from seqrec.evaluation import _top_n
 from seqrec.attention import AttentionMatrix, build_attention
 from seqrec.data import build_positional_tensor
 from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
@@ -662,6 +663,30 @@ class TestPredictNext:
         expected = np.lexsort((np.arange(n_items), -full))[:n]
         got = predict_next(_StubModel(scores), history, n, exclude_seen=exclude_seen)
         assert got.tolist() == expected.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_items=st.integers(1, 40))
+    def test_block_ranking_matches_predict_next(self, data, n_items):
+        # The block ranking of evaluate, with a zero error bound, keeps a row
+        # only when its top n + 1 hold no tie; that row must be predict_next's
+        # list, and every other row goes through predict_next.
+        values = st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 1.0, np.inf]) | st.floats(
+            -3, 3, allow_nan=False)
+        scores = np.array(data.draw(st.lists(values, min_size=n_items, max_size=n_items)))
+        histories = data.draw(st.lists(
+            st.lists(st.integers(0, n_items - 1), min_size=1, max_size=5),
+            min_size=1, max_size=4))
+        n = data.draw(st.integers(1, n_items + 3))
+        block = np.tile(scores, (len(histories), 1))
+        for row, history in enumerate(histories):
+            block[row, history] = -np.inf
+        top, safe = _top_n(block, np.zeros(len(histories)), n)
+        for row, history in enumerate(histories):
+            head = np.sort(block[row])[::-1][:n + 1]
+            assert safe[row] == bool(np.all(head[:-1] > head[1:]))
+            if safe[row]:
+                expected = predict_next(_StubModel(scores), history, n)
+                assert top[row].tolist() == expected.tolist()
 
 
 class TestSerialization:
