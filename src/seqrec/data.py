@@ -144,47 +144,94 @@ def _open_source(source):
         yield text
 
 
-def _read_rows(text, delimiter, user_col, item_col, time_col, header):
-    """Raw user ids, item ids and timestamps of every non-blank data row."""
-    rows = iter(csv.reader(text, delimiter=delimiter))
-    lineno = 0
-    if header:
-        lineno += 1
-        try:
-            names = next(rows)
-        except StopIteration:
-            raise ParseError("empty source") from None
-        try:
-            u_idx = names.index(user_col)
-            i_idx = names.index(item_col)
-            t_idx = names.index(time_col)
-        except ValueError as exc:
-            raise ParseError(f"missing column in header: {exc}") from None
-    else:
-        u_idx, i_idx, t_idx = int(user_col), int(item_col), int(time_col)
+def _read_columns(text, delimiter, user_col, item_col, time_col, header):
+    """Raw user ids, item ids and timestamps of the data rows, read once.
 
-    raw_users, raw_items, raw_times = [], [], []
-    needed = max(u_idx, i_idx, t_idx) + 1
-    for row in rows:
-        lineno += 1
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < needed:
-            raise ParseError(f"line {lineno}: expected at least {needed} columns, got {len(row)}")
-        try:
-            ts = int(float(row[t_idx]))
-        except ValueError:
-            raise ParseError(f"line {lineno}: unparsable timestamp {row[t_idx]!r}") from None
-        except OverflowError:
-            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range") from None
-        if ts < 0:
-            raise ParseError(f"line {lineno}: negative timestamp {ts}")
-        if ts > MAX_TIMESTAMP:
-            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range")
-        raw_users.append(row[u_idx])
-        raw_items.append(row[i_idx])
-        raw_times.append(ts)
-    return raw_users, raw_items, raw_times
+    Returns ``(columns, first_line, blanks, fault)``: the three columns; the
+    line number of the first data row; for each skipped blank line, the number
+    of data rows read before it; and the error that ended the read early (a
+    short row or a corrupt stream) or None. The rows read before a fault still
+    have their timestamps checked first, so the earliest bad line wins.
+    """
+    rows = csv.reader(text, delimiter=delimiter)
+    users, items, times, blanks = [], [], [], []
+    first_line = 2 if header else 1
+    fault = None
+    try:
+        if header:
+            names = next(rows, None)
+            if names is None:
+                raise ParseError("empty source")
+            try:
+                u_idx = names.index(user_col)
+                i_idx = names.index(item_col)
+                t_idx = names.index(time_col)
+            except ValueError as exc:
+                raise ParseError(f"missing column in header: {exc}") from None
+        else:
+            u_idx, i_idx, t_idx = int(user_col), int(item_col), int(time_col)
+        needed = max(u_idx, i_idx, t_idx) + 1
+        # a one-field row may be a whitespace-only line even when one field is enough
+        short = max(needed, 2)
+        add_user, add_item, add_time = users.append, items.append, times.append
+        for row in rows:
+            if len(row) < short:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    blanks.append(len(times))
+                    continue
+                if len(row) < needed:
+                    lineno = first_line + len(times) + len(blanks)
+                    fault = ParseError(
+                        f"line {lineno}: expected at least {needed} columns, got {len(row)}")
+                    break
+            add_user(row[u_idx])
+            add_item(row[i_idx])
+            add_time(row[t_idx])
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        fault = ParseError(f"corrupt or truncated gzip stream: {exc}")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        fault = exc
+    return (users, items, times), first_line, blanks, fault
+
+
+def _check_timestamp(text, lineno):
+    """Raise the :class:`ParseError` naming the line if ``int(float(text))``
+    fails or falls outside [0, 2**63)."""
+    try:
+        ts = int(float(text))
+    except ValueError:
+        raise ParseError(f"line {lineno}: unparsable timestamp {text!r}") from None
+    except OverflowError:
+        raise ParseError(f"line {lineno}: timestamp {text!r} out of range") from None
+    if ts < 0:
+        raise ParseError(f"line {lineno}: negative timestamp {ts}")
+    if ts > MAX_TIMESTAMP:
+        raise ParseError(f"line {lineno}: timestamp {text!r} out of range")
+
+
+def _timestamps(raw_times, first_line, blanks):
+    """Every raw timestamp as ``int(float(text))`` in one int64 array.
+
+    A non-numeric, non-finite, negative or >= 2**63 value sends the column
+    through :func:`_check_timestamp` row by row, which raises for the earliest
+    bad line.
+    """
+    try:
+        values = np.trunc(np.fromiter(map(float, raw_times), np.float64, len(raw_times)))
+    except ValueError:
+        values = None
+    # NaN fails both comparisons
+    if values is None or not ((values >= 0) & (values < 2.0 ** 63)).all():
+        rows = np.arange(len(raw_times))
+        lines = first_line + rows + np.searchsorted(blanks, rows, side="right")
+        for text, lineno in zip(raw_times, lines.tolist()):
+            _check_timestamp(text, lineno)
+    return values.astype(np.int64)
+
+
+def _first_appearance(keys):
+    """Map each distinct key to its rank of first appearance."""
+    return dict(zip(dict.fromkeys(keys), range(len(keys))))
 
 
 def ingest_log(source, delimiter=",", user_col="user", item_col="item",
@@ -195,49 +242,48 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
     Duplicate (user, item) pairs collapse to the earliest-timestamp occurrence.
     Column arguments are names when ``header`` is true, 0-based indices
     otherwise. ``source`` may be a path or a binary stream; gzip is detected,
-    and a truncated or corrupt gzip stream raises :class:`ParseError`.
+    and a truncated or corrupt gzip stream raises :class:`ParseError`. Of
+    several bad lines, the earliest is reported.
+
+    Each row is read once; checks, indexing and deduplication then run on
+    whole columns.
     """
     with _open_source(source) as text:
-        try:
-            raw_users, raw_items, raw_times = _read_rows(
-                text, delimiter, user_col, item_col, time_col, header)
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
-    if not raw_users:
+        (raw_users, raw_items, raw_times), first_line, blanks, fault = _read_columns(
+            text, delimiter, user_col, item_col, time_col, header)
+    times = _timestamps(raw_times, first_line, blanks)
+    if fault is not None:
+        raise fault
+    n = len(raw_users)
+    if not n:
         raise ParseError("empty source")
 
     # users indexed by first appearance in ingestion order
-    user_map = {}
-    for u in raw_users:
-        if u not in user_map:
-            user_map[u] = len(user_map)
-    uidx = np.array([user_map[u] for u in raw_users], dtype=np.int64)
-    times = np.array(raw_times, dtype=np.int64)
+    user_map = _first_appearance(raw_users)
+    uidx = np.fromiter(map(user_map.__getitem__, raw_users), np.int64, n)
+    # items coded by first appearance here, re-indexed after deduplication
+    item_codes = _first_appearance(raw_items)
+    icode = np.fromiter(map(item_codes.__getitem__, raw_items), np.int64, n)
+    del raw_users, raw_items, raw_times  # free the id strings before the sorts
 
-    order = np.lexsort((np.arange(len(uidx)), times, uidx))
-    # keep the earliest occurrence of each (user, item) pair
-    seen = set()
-    keep = []
-    for pos in order:
-        key = (raw_users[pos], raw_items[pos])
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(pos)
-    keep = np.array(keep, dtype=np.int64)
+    order = np.lexsort((np.arange(n), times, uidx))
+    # keep the earliest occurrence of each (user, item) pair: np.unique
+    # returns the first index of each pair code in (user, time, row) order
+    _, first = np.unique(uidx[order] * len(item_codes) + icode[order], return_index=True)
+    keep = order[np.sort(first)]
 
     # items indexed by first appearance in the sorted, deduplicated log
-    item_map = {}
-    iidx = np.empty(len(keep), dtype=np.int64)
-    for out, pos in enumerate(keep):
-        it = raw_items[pos]
-        if it not in item_map:
-            item_map[it] = len(item_map)
-        iidx[out] = item_map[it]
+    kept = icode[keep]
+    codes, first = np.unique(kept, return_index=True)
+    ranked = codes[np.argsort(first)]
+    remap = np.empty(len(item_codes), dtype=np.int64)
+    remap[ranked] = np.arange(len(ranked))
+    names = list(item_codes)
+    item_map = dict(zip(map(names.__getitem__, ranked.tolist()), range(len(ranked))))
 
     return InteractionLog(
         users=uidx[keep],
-        items=iidx,
+        items=remap[kept],
         timestamps=times[keep],
         user_map=user_map,
         item_map=item_map,

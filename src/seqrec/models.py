@@ -193,7 +193,8 @@ def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
     xt = x.T.tocsr()
     op = ImplicitMatrix(shape=(n, m), matvec=lambda z: xt @ z, rmatvec=lambda z: x @ z)
     v, _ = truncated_svd(op, r, seed=seed)
-    return SVDModel(v=v, scaling=scaling, regime=regime)
+    # C order, as load_model returns it: the layout decides how BLAS rounds scores
+    return SVDModel(v=np.ascontiguousarray(v), scaling=scaling, regime=regime)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ class LocalAttentionTrainer:
         return self.model_class(
             v=self.v.copy(),
             w_l=self.w_l.copy(),
-            w_l_hat=triangular_restore(self.attention, self.w_l),
+            w_l_hat=np.ascontiguousarray(triangular_restore(self.attention, self.w_l)),
             w_s=self.w_s.copy(),
             attention=self.attention,
             scaling=self.scaling,

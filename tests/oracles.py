@@ -1,5 +1,8 @@
 """Independent dense reference implementations used to check the streaming paths."""
 
+import csv
+import gzip
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +81,108 @@ def dense_hooi(dense, ranks, init, sweeps):
             factors[mode] = uu[:, :ranks[mode]]
         fits.append(float(np.sum(ss[:ranks[-1]] ** 2)))
     return factors, fits
+
+
+def _read_rows_reference(text, delimiter, user_col, item_col, time_col, header):
+    """Raw user ids, item ids and timestamps of every non-blank data row,
+    checking each row as it is read."""
+    from seqrec.data import MAX_TIMESTAMP, ParseError
+
+    rows = iter(csv.reader(text, delimiter=delimiter))
+    lineno = 0
+    if header:
+        lineno += 1
+        try:
+            names = next(rows)
+        except StopIteration:
+            raise ParseError("empty source") from None
+        try:
+            u_idx = names.index(user_col)
+            i_idx = names.index(item_col)
+            t_idx = names.index(time_col)
+        except ValueError as exc:
+            raise ParseError(f"missing column in header: {exc}") from None
+    else:
+        u_idx, i_idx, t_idx = int(user_col), int(item_col), int(time_col)
+
+    raw_users, raw_items, raw_times = [], [], []
+    needed = max(u_idx, i_idx, t_idx) + 1
+    for row in rows:
+        lineno += 1
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < needed:
+            raise ParseError(f"line {lineno}: expected at least {needed} columns, got {len(row)}")
+        try:
+            ts = int(float(row[t_idx]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: unparsable timestamp {row[t_idx]!r}") from None
+        except OverflowError:
+            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range") from None
+        if ts < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {ts}")
+        if ts > MAX_TIMESTAMP:
+            raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range")
+        raw_users.append(row[u_idx])
+        raw_items.append(row[i_idx])
+        raw_times.append(ts)
+    return raw_users, raw_items, raw_times
+
+
+def ingest_reference(source, delimiter=",", user_col="user", item_col="item",
+                     time_col="timestamp", header=True):
+    """:func:`seqrec.data.ingest_log` one row at a time: every row is checked as
+    it is read, and duplicate (user, item) pairs are dropped by walking the
+    (user, time, row) order through a set of seen pairs."""
+    from seqrec.data import InteractionLog, ParseError, _open_source
+
+    with _open_source(source) as text:
+        try:
+            raw_users, raw_items, raw_times = _read_rows_reference(
+                text, delimiter, user_col, item_col, time_col, header)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
+    if not raw_users:
+        raise ParseError("empty source")
+
+    # users indexed by first appearance in ingestion order
+    user_map = {}
+    for u in raw_users:
+        if u not in user_map:
+            user_map[u] = len(user_map)
+    uidx = np.array([user_map[u] for u in raw_users], dtype=np.int64)
+    times = np.array(raw_times, dtype=np.int64)
+
+    order = np.lexsort((np.arange(len(uidx)), times, uidx))
+    # keep the earliest occurrence of each (user, item) pair
+    seen = set()
+    keep = []
+    for pos in order:
+        key = (raw_users[pos], raw_items[pos])
+        if key in seen:
+            continue
+        seen.add(key)
+        keep.append(pos)
+    keep = np.array(keep, dtype=np.int64)
+
+    # items indexed by first appearance in the sorted, deduplicated log
+    item_map = {}
+    iidx = np.empty(len(keep), dtype=np.int64)
+    for out, pos in enumerate(keep):
+        it = raw_items[pos]
+        if it not in item_map:
+            item_map[it] = len(item_map)
+        iidx[out] = item_map[it]
+
+    return InteractionLog(
+        users=uidx[keep],
+        items=iidx,
+        timestamps=times[keep],
+        user_map=user_map,
+        item_map=item_map,
+        n_users=len(user_map),
+        n_items=len(item_map),
+    )
 
 
 def brute_force_kcore(users, items, k):

@@ -1,0 +1,140 @@
+"""Whole-column ingest against the row-by-row reference parser."""
+
+import csv
+import gzip
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ingest_reference
+from seqrec.data import ParseError, ingest_log
+
+COLUMNS = ("user", "item", "timestamp")
+# ids that need csv quoting under one delimiter or the other
+IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7"]
+GOOD_TIMES = ["0", "1", "2", "2", "3", "5.7", "1e3", " 4 ", "-0.5", "1_0", "9.2e18"]
+BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808"]
+
+
+def _outcome(parse, payload, **kwargs):
+    """The parsed log's arrays and maps (in order), or the error's type and message."""
+    try:
+        log = parse(io.BytesIO(payload), **kwargs)
+    except (ParseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([a.tolist() for a in (log.users, log.items, log.timestamps)],
+            list(log.user_map.items()), list(log.item_map.items()),
+            log.n_users, log.n_items)
+
+
+def _assert_matches_reference(payload, **kwargs):
+    got = _outcome(ingest_log, payload, **kwargs)
+    assert got == _outcome(ingest_reference, payload, **kwargs)
+    return got
+
+
+@st.composite
+def _sources(draw):
+    """Delimited text with a shuffled column order and extra columns, quoted
+    ids, repeated pairs, tied and float timestamps, blank and whitespace-only
+    lines, an occasional bad value or short row, optionally gzipped and cut."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    header = draw(st.booleans())
+    names = draw(st.permutations(list(COLUMNS) + ["rating", "note"][:draw(st.integers(0, 2))]))
+    where = {name: names.index(name) for name in COLUMNS}
+    bad_rate = draw(st.sampled_from([0, 0, 30]))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    if header:
+        writer.writerow(names)
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.integers(0, 99))
+        if kind < 5:
+            out.write(draw(st.sampled_from(["", " ", "   "])) + "\n")
+            continue
+        fields = ["5"] * len(names)
+        fields[where["user"]] = draw(st.sampled_from(IDS))
+        fields[where["item"]] = draw(st.sampled_from(IDS))
+        bad = kind >= 100 - bad_rate
+        fields[where["timestamp"]] = draw(st.sampled_from(BAD_TIMES if bad else GOOD_TIMES))
+        if bad and draw(st.booleans()):
+            fields = fields[:draw(st.integers(1, max(where.values())))]
+        writer.writerow(fields)
+    payload = out.getvalue().encode()
+    if draw(st.booleans()):
+        payload = gzip.compress(payload)
+        if draw(st.integers(0, 4)) == 0:
+            payload = payload[:draw(st.integers(0, len(payload) - 1))]
+    columns = COLUMNS if header else tuple(where[name] for name in COLUMNS)
+    return payload, dict(zip(("user_col", "item_col", "time_col"), columns),
+                         delimiter=delimiter, header=header)
+
+
+class TestMatchesReference:
+    @given(_sources())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_sources(self, source):
+        payload, kwargs = source
+        _assert_matches_reference(payload, **kwargs)
+
+    # each bad kind against a bad timestamp and a short row, in both orders
+    @pytest.mark.parametrize("first", ["-3", "nan", "inf", "1e30", "xyz", None])
+    @pytest.mark.parametrize("second", ["-3", "xyz", None])
+    def test_earliest_of_two_bad_lines_wins(self, first, second):
+        def row(value):
+            return "u,i\n" if value is None else f"u,i,{value}\n"
+
+        payload = ("user,item,timestamp\nu,i,1\n\n" + row(first) + "u,j,2\n" + row(second)).encode()
+        kind, message = _assert_matches_reference(payload)
+        assert kind == "ParseError" and message.startswith("line 4:")
+
+    # a fault that stops the read far past the bad line: a cut gzip stream,
+    # bytes that are not UTF-8, a field over the csv module's size limit
+    @pytest.mark.parametrize("tail", ["cut", b"\xff\n", b"u," + b"x" * 200_000 + b",1\n"],
+                             ids=["cut-gzip", "not-utf8", "oversized-field"])
+    def test_bad_line_before_a_stream_fault_wins(self, tail):
+        rows = "".join(f"u{t % 13},i{t % 11},{t}\n" for t in range(20000))
+        payload = f"user,item,timestamp\nu,i,xyz\n{rows}".encode()
+        if tail == "cut":
+            payload = gzip.compress(payload)
+            payload = payload[:len(payload) // 2]
+        else:
+            payload += tail
+        assert _assert_matches_reference(payload) == (
+            "ParseError", "line 2: unparsable timestamp 'xyz'")
+
+    def test_duplicates_and_ties_keep_the_earliest_row(self):
+        payload = b"user,item,timestamp\nb,y,3\na,x,2\nb,x,3\na,x,1\nb,y,3\na,y,1\n"
+        (users, items, times), user_map, item_map, *_ = _assert_matches_reference(payload)
+        assert user_map == [("b", 0), ("a", 1)]
+        assert item_map == [("y", 0), ("x", 1)]
+        assert (users, items, times) == ([0, 0, 1, 1], [0, 1, 1, 0], [3, 3, 1, 1])
+
+    def test_float_timestamps_truncate(self):
+        (_, _, times), *_ = _assert_matches_reference(
+            b"user,item,timestamp\nu,a,5.7\nu,b,-0.5\nu,c,1e3\n")
+        assert sorted(times) == [0, 5, 1000]
+
+    def test_quoted_delimiter_and_extra_columns(self):
+        payload = b'item\tnote\tuser\ttimestamp\n"a\tb"\tx\t"u,1"\t4\n'
+        _, user_map, item_map, *_ = _assert_matches_reference(payload, delimiter="\t")
+        assert user_map == [("u,1", 0)] and item_map == [("a\tb", 0)]
+
+    def test_headerless_gzip(self):
+        payload = gzip.compress(b"1\tu\t7\n\n2\tu\t5\n")
+        (_, _, times), *_ = _assert_matches_reference(
+            payload, delimiter="\t", user_col=1, item_col=0, time_col=2, header=False)
+        assert times == [5, 7]
+
+
+def test_large_log_matches_reference():
+    rng = np.random.default_rng(0)
+    users = rng.integers(0, 300, 5000)
+    items = rng.integers(0, 200, 5000)
+    times = rng.integers(0, 50, 5000)
+    text = "user,item,timestamp\n" + "".join(
+        f"u{u},i{i},{t}\n" for u, i, t in zip(users.tolist(), items.tolist(), times.tolist()))
+    _assert_matches_reference(text.encode())

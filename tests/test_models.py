@@ -721,6 +721,45 @@ class TestSerialization:
             assert np.allclose(model.score_history(hist),
                                loaded.score_history(hist), atol=1e-12)
 
+    @staticmethod
+    def _layout_models():
+        rng = np.random.default_rng(3)
+        rows = [(u, int(j), 100 * u + t) for u in range(200)
+                for t, j in enumerate(rng.choice(120, size=8, replace=False))]
+        log = make_log(rows, 200, 120)
+        x = build_positional_tensor(log, 6)
+        ga = GlobalAttentionTrainer(x, build_attention(6, f=1.0), (5, 4, 2), s=0.5, seed=1)
+        la = LocalAttentionTrainer(x, 3, build_attention(3, f=0.5), (5, 4, 2, 2), seed=1,
+                                   regime="restored")
+        ga.sweep()
+        la.sweep()
+        return {
+            "mp": train_mp(log),
+            # PROPACK's factor comes out in Fortran order at this size
+            "svd-iterative": train_puresvd(log, r=10, s=0.4),
+            "svd-dense": train_puresvd(log, r=3, s=0.5, regime="restored"),
+            "global": train_gasatf(x, f=1.0, ranks=(5, 4, 2), s=0.5, seed=0, sweeps=2),
+            "local": train_lasatf(x, window=3, f=0.5, ranks=(5, 4, 2, 2), s=0.4, seed=0,
+                                  sweeps=2, regime="restored"),
+            "global-snapshot": ga.snapshot(),
+            "local-snapshot": la.snapshot(),
+        }
+
+    def test_models_score_like_their_saved_copy(self, tmp_path):
+        # Factors are C-contiguous, as load_model returns them, so BLAS rounds
+        # the in-memory and the reloaded model's scores alike.
+        for name, model in self._layout_models().items():
+            for field_name, value in vars(model).items():
+                if isinstance(value, np.ndarray):
+                    assert value.flags.c_contiguous, (name, field_name)
+            path = tmp_path / f"{name}.npz"
+            save_model(model, path)
+            loaded = load_model(path)
+            for hist in ([0], [7, 3], list(range(0, 50, 3)), list(range(49, 0, -2))):
+                assert np.array_equal(model.score_history(hist), loaded.score_history(hist)), name
+                assert np.array_equal(predict_next(model, hist, 10),
+                                      predict_next(loaded, hist, 10)), name
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "m.npz"
         save_model(_mp_fixture(), path)
