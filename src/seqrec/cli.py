@@ -47,6 +47,20 @@ _SVD_RANKS = (list(range(100, 1001, 100))
 _TENSOR_RANKS = list(range(100, 1001, 100))
 
 
+def _is_integer(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+# what each entry of a list-valued model parameter must be
+_ENTRY_RULES = {
+    **dict.fromkeys(("rank", "r1", "r2", "r3", "r4", "window_values"),
+                    ("positive integers", lambda val: _is_integer(val) and val >= 1)),
+    **dict.fromkeys(("f", "s"), ("real numbers",
+                                 lambda val: _is_integer(val) or isinstance(val, float))),
+    "regime": ("'plain' or 'restored'", lambda val: val in ("plain", "restored")),
+}
+
+
 def _deep_update(base, extra):
     for key, val in extra.items():
         if isinstance(val, dict) and isinstance(base.get(key), dict):
@@ -81,15 +95,21 @@ def load_config(path, preset=None, overrides=None):
     integers.update((f"split.{key}", split[key]) for key in
                     ("t_valid", "t_test", "valid_count", "test_count") if key in split)
     for key, val in integers.items():
-        if isinstance(val, bool) or not isinstance(val, int):
+        if not _is_integer(val):
             raise ConfigError(f"{key} must be an integer, got {val!r}")
+    for key in ("K", "n", "budget", "max_sweeps"):
+        if integers[key] < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {integers[key]!r}")
     grid = model.get("grid", {})
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"model.grid must map each parameter to a list, got {grid!r}")
     if not isinstance(model.get("window_values", []), list):
         raise ConfigError(f"model.window_values must be a list, got {model['window_values']!r}")
-    if config.get("K", 1) < 1:
-        raise ConfigError(f"K must be an integer >= 1, got {config['K']!r}")
+    lists = {**grid, "window_values": model.get("window_values", [])}
+    for name, (wanted, valid) in _ENTRY_RULES.items():
+        bad = [val for val in lists.get(name, []) if not valid(val)]
+        if bad:
+            raise ConfigError(f"model {name} entries must be {wanted}, got {bad[0]!r}")
     return config
 
 
@@ -260,14 +280,6 @@ def cmd_tune(config, args):
     return winner
 
 
-def _merge_logs(first, second):
-    users = np.concatenate([first.users, second.users])
-    items = np.concatenate([first.items, second.items])
-    times = np.concatenate([first.timestamps, second.timestamps])
-    order = np.lexsort((np.arange(len(users)), times, users))
-    return first.replace_events(users[order], items[order], times[order])
-
-
 def cmd_final(config, args):
     out = _out_dir(config, args)
     split_path = out / "split.npz"
@@ -284,7 +296,9 @@ def cmd_final(config, args):
     k = config.get("K", 50)
     sweeps = max(1, int(tuned.get("sweep_count", 1)))
 
-    merged = _merge_logs(split.train, split.validation)
+    merged = split.train.replace_events(*(
+        np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
+        for name in ("users", "items", "timestamps")))
     if kind == "mp":
         model = train_mp(merged)
     elif kind == "svd":

@@ -41,12 +41,17 @@ class ParseError(DataError):
 
 @dataclass(frozen=True)
 class InteractionLog:
-    """Deduplicated, index-mapped interaction events sorted by (user, time).
+    """Index-mapped interaction events in (user, time) order.
 
     ``users``, ``items``, ``timestamps`` are parallel int64 arrays. ``user_map``
     and ``item_map`` take external ids to contiguous 0-based indices. ``n_users``
     and ``n_items`` may exceed the number of distinct indices present (splits of
     a larger log share the parent's index space).
+
+    The constructor owns the event order: each user's events run oldest
+    first, ties in arrival order. Events given out of that order are stably
+    sorted once here, so no consumer sorts. Only :func:`ingest_log`
+    deduplicates; a log built by hand may repeat a (user, item) pair.
     """
 
     users: np.ndarray
@@ -56,6 +61,15 @@ class InteractionLog:
     item_map: dict = field(repr=False)
     n_users: int
     n_items: int
+
+    def __post_init__(self):
+        users, times = self.users, self.timestamps
+        back = users[1:] < users[:-1]
+        back |= (users[1:] == users[:-1]) & (times[1:] < times[:-1])
+        if back.any():
+            order = np.lexsort((times, users))  # stable: ties keep arrival order
+            for name in ("users", "items", "timestamps"):
+                object.__setattr__(self, name, getattr(self, name)[order])
 
     def __len__(self):
         return len(self.users)
@@ -97,13 +111,6 @@ class SparsePositionalTensor:
     items: np.ndarray
     positions: np.ndarray
     shape: tuple
-
-    def __len__(self):
-        return len(self.users)
-
-    @property
-    def n_users(self):
-        return self.shape[0]
 
     @property
     def n_items(self):
@@ -388,10 +395,9 @@ def build_positional_tensor(train, K):
     """
     if K < 1:
         raise DataError("K must be >= 1")
-    # stable (user, time) order; an event's distance from its user's newest
-    # event is the user's end offset minus its own offset
-    order = np.lexsort((np.arange(len(train)), train.timestamps, train.users))
-    users, items = train.users[order], train.items[order]
+    # in (user, time) order, an event's distance from its user's newest event
+    # is the user's end offset minus its own offset
+    users, items = train.users, train.items
     distance = np.cumsum(np.bincount(users))[users] - np.arange(len(users))
     keep = distance <= K
     return SparsePositionalTensor(users=users[keep], items=items[keep],

@@ -76,9 +76,8 @@ def _histories(train, test, n_items):
     catalog are dropped, as :func:`predict_next` drops them.
     """
     walk = np.lexsort((np.arange(len(test)), test.timestamps))
-    order = np.lexsort((np.arange(len(train)), train.timestamps, train.users))
-    users = np.concatenate([train.users[order], test.users[walk]])
-    items = np.concatenate([train.items[order], test.items[walk]])
+    users = np.concatenate([train.users, test.users[walk]])
+    items = np.concatenate([train.items, test.items[walk]])
     # a stable sort by user keeps each user's train items ahead of their
     # test targets, and both in order
     seq = np.argsort(users, kind="stable")
@@ -88,7 +87,7 @@ def _histories(train, test, n_items):
     place = np.empty_like(seq)
     place[seq] = np.arange(len(seq))
     first = np.searchsorted(users[seq], test.users[walk])
-    return walk, items[usable], before[first], before[place[len(order):]]
+    return walk, items[usable], before[first], before[place[len(train):]]
 
 
 def _top_n(scores, tau, n):
@@ -237,8 +236,7 @@ def grid_search(space, factory, train, valid, n=10, seed=0, patience=3, max_swee
     broken by lower total rank, then enumeration order.
     """
     log = []
-    best_idx = None
-    for idx, config in enumerate(space.points(seed=seed)):
+    for config in space.points(seed=seed):
         start = time.perf_counter()
         built = factory(config)
         if hasattr(built, "sweep"):
@@ -246,15 +244,8 @@ def grid_search(space, factory, train, valid, n=10, seed=0, patience=3, max_swee
                 built, train, valid, n=n, patience=patience, max_sweeps=max_sweeps)
         else:
             sweeps, report = 0, evaluate(built, train, valid, n=n)
-        point = GridPoint(config=config, report=report, sweep_count=sweeps,
-                          wall_time=time.perf_counter() - start)
-        log.append(point)
-        if best_idx is None:
-            best_idx = idx
-        else:
-            best = log[best_idx]
-            key_new = (-point.report.ndcg, _total_rank(config), idx)
-            key_old = (-best.report.ndcg, _total_rank(best.config), best_idx)
-            if key_new < key_old:
-                best_idx = idx
-    return log[best_idx], log
+        log.append(GridPoint(config=config, report=report, sweep_count=sweeps,
+                             wall_time=time.perf_counter() - start))
+    best = min(range(len(log)),
+               key=lambda i: (-log[i].report.ndcg, _total_rank(log[i].config), i))
+    return log[best], log

@@ -2,6 +2,10 @@
 
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,11 @@ import seqrec.cli
 import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
-from seqrec.cli import main
+from seqrec.cli import PRESETS, load_config, main
+from seqrec.data import load_split
+from seqrec.evaluation import evaluate
 from seqrec.linalg import ConvergenceError
-from seqrec.models import train_puresvd
+from seqrec.models import load_model, train_puresvd
 
 TOY_ROWS = [
     (0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
@@ -124,6 +130,31 @@ class TestPrepare:
             assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
             assert next(iter(extra)) in err
 
+    def test_preset_merge_with_seed_override(self, tmp_path):
+        cfg = tmp_path / "config.yaml"
+        _write_config(cfg, seed=0, K=7, model={"kind": "local", "grid": {"r3": [2]}})
+        before = json.dumps(PRESETS)
+        config = load_config(cfg, preset="ml-1m", overrides={"seed": 5})
+        assert config["seed"] == 5 and config["K"] == 7
+        assert config["model"] == {"kind": "local", "window_values": [20, 40, 60, 80],
+                                   "grid": {"r3": [2], "r4": [5, 10, 15, 20]}}
+        config["model"]["grid"]["r4"].append(25)
+        config["model"]["window_values"].clear()
+        assert json.dumps(PRESETS) == before
+
+    def test_core_filter_and_count_split(self, tmp_path):
+        # user u3 and item i4 have one event each and leave the 2-core; counted
+        # on the filtered log, the test tail of <= 2 events stops at the tie
+        # at t = 2, and the validation tail of <= 4 at the tie at t = 1
+        cfg, out = _toy_config(tmp_path, core=2,
+                               split={"valid_count": 4, "test_count": 2})
+        _write_csv(tmp_path / "events.csv", TOY_ROWS + [(3, 0, 4), (0, 4, 5)])
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert (stats["users"], stats["items"], stats["interactions"]) == (3, 4, 10)
+        assert (stats["t_valid"], stats["t_test"]) == (2, 3)
+        assert stats["sizes"] == {"train": 6, "validation": 3, "test": 1}
+
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0)
@@ -212,6 +243,29 @@ class TestTune:
         assert shared == _tune_outputs(out)
         assert [r["config"]["regime"] for r in shared[0]] == ["plain", "restored"] * 2
 
+    @pytest.mark.parametrize("extra", [
+        {"budget": 0}, {"budget": -1}, {"max_sweeps": 0}, {"n": 0},
+        {"model": {"kind": "local", "grid": {"r1": ["a"]}}},
+        {"model": {"kind": "local", "grid": {"r3": [1.5]}}},
+        {"model": {"kind": "svd", "grid": {"rank": [True]}}},
+        {"model": {"kind": "svd", "grid": {"s": ["x"]}}},
+        {"model": {"kind": "global", "grid": {"f": ["x"]}}},
+        {"model": {"kind": "local", "window_values": ["a"]}},
+        {"model": {"kind": "svd", "grid": {"regime": ["bogus"]}}},
+    ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
+    def test_bad_value_exit_2_before_work(self, tmp_path, monkeypatch, capsys, extra):
+        cfg, out = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        cfg, _ = _toy_config(tmp_path, **{"model": SVD_GRID, **extra})
+        monkeypatch.setattr(seqrec.cli, "grid_search", None)  # no grid point may train
+        capsys.readouterr()
+        for command in ("prepare", "tune"):
+            assert main(["--config", str(cfg), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+            assert next(iter(extra)) in err
+        assert not (out / "grid_log.jsonl").exists()
+
     def test_without_prepare_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "tune"]) == 3
@@ -284,6 +338,22 @@ class TestFinalAndReport:
         shown = capsys.readouterr().out
         assert "grid_log.jsonl" in shown and "report.jsonl" in shown
 
+    def test_global_model_end_to_end(self, tmp_path):
+        model = {"kind": "global", "grid": {"r1": [2], "r2": [2], "r3": [1, 2],
+                                            "f": [0.5], "s": [0.2], "regime": ["restored"]}}
+        cfg, out = _toy_config(tmp_path, model=model, max_sweeps=2, patience=1)
+        for command in ("prepare", "tune", "final"):
+            assert main(["--config", str(cfg), command]) == 0
+        assert json.loads((out / "best.json").read_text())["kind"] == "global"
+        [record] = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        assert (record["split"], record["kind"]) == ("test", "global")
+        split = load_split(out / "split.npz")
+        merged = split.train.replace_events(*(
+            np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
+            for name in ("users", "items", "timestamps")))
+        report = evaluate(load_model(out / "model.npz"), merged, split.test, n=2)
+        assert {key: record[key] for key in report.as_dict()} == report.as_dict()
+
     def test_final_without_tune_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
@@ -329,3 +399,53 @@ class TestMarkovEndToEnd:
         assert hr_la > hr_mp
         assert hr_la > 0.9
         assert hr_mp <= 0.7
+
+
+_PIPELINE = """
+import sys
+from seqrec.cli import main
+for command in ("prepare", "tune", "final"):
+    if main(["--config", sys.argv[1], "--output", sys.argv[2], command]):
+        sys.exit(f"{command} failed")
+"""
+
+
+def _outputs(out):
+    """Every file the pipeline wrote, as bytes, with npz files as arrays and
+    grid_log.jsonl without its wall times."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                files[path.name] = {k: (data[k].dtype.str, data[k].shape, data[k].tobytes())
+                                    for k in data.files}
+        elif path.name == "grid_log.jsonl":
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            files[path.name] = [{k: v for k, v in r.items() if k != "wall_time"}
+                                for r in records]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    csv = tmp_path / "markov.csv"
+    _write_csv(csv, _markov_rows())
+    cfg = tmp_path / "config.yaml"
+    _write_config(cfg, seed=3, core=1, K=4, n=2, dataset={"path": str(csv)},
+                  split={"t_valid": 5, "t_test": 6}, max_sweeps=2, patience=1,
+                  model={"kind": "local", "window_values": [2, 3],
+                         "grid": {"r1": [4], "r2": [4], "r3": [1], "r4": [1, 2],
+                                  "f": [0.5], "s": [0.2], "regime": ["plain"]}})
+    src = str(Path(seqrec.cli.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(cfg), str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(_outputs(out))
+    assert sorted(outputs[0]) == ["best.json", "grid_log.jsonl", "model.npz",
+                                  "report.jsonl", "split.npz", "stats.json"]
+    assert outputs[0] == outputs[1]

@@ -12,6 +12,7 @@ from helpers import make_log
 from oracles import brute_force_kcore
 from seqrec.data import (
     DataError,
+    InteractionLog,
     ParseError,
     boundary_for_count,
     build_positional_tensor,
@@ -127,6 +128,54 @@ class TestIngest:
         assert set(log.items) == {0, 1}
         order = np.lexsort((log.timestamps, log.users))
         assert list(order) == list(range(len(log)))
+
+
+def _in_user_time_order(log):
+    # a stable sort leaves an ordered log as it is
+    return np.array_equal(np.lexsort((log.timestamps, log.users)), np.arange(len(log)))
+
+
+class TestEventOrder:
+    """Every log holds its events in (user, time) order, ties in arrival order."""
+
+    def test_shuffled_rows_give_the_ordered_arrays(self):
+        rng = np.random.default_rng(3)
+        rows = [(u, int(j), t) for u in range(6) for t, j in enumerate(rng.permutation(8)[:5])]
+        ordered = make_log(rows, 6, 8)
+        shuffled = make_log([rows[i] for i in rng.permutation(len(rows))], 6, 8)
+        assert _in_user_time_order(ordered) and _in_user_time_order(shuffled)
+        for name in ("users", "items", "timestamps"):
+            assert np.array_equal(getattr(shuffled, name), getattr(ordered, name))
+
+    def test_ties_keep_arrival_order(self):
+        log = make_log([(1, 0, 5), (0, 2, 5), (0, 1, 5), (0, 3, 4), (0, 0, 5)])
+        assert log.users.tolist() == [0, 0, 0, 0, 1]
+        assert log.items.tolist() == [3, 2, 1, 0, 0]
+        assert log.timestamps.tolist() == [4, 5, 5, 5, 5]
+
+    def test_ordered_events_are_not_copied(self):
+        users, items, times = (np.array(col, dtype=np.int64) for col in
+                               ([0, 0, 1, 2], [1, 0, 0, 1], [3, 3, 1, 2]))
+        log = InteractionLog(users=users, items=items, timestamps=times,
+                             user_map={}, item_map={}, n_users=3, n_items=2)
+        assert log.users is users and log.items is items and log.timestamps is times
+
+    def test_logs_from_every_step_are_ordered(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = [(u, j, int(rng.integers(20))) for u in range(8) for j in range(6)
+                if rng.random() < 0.7]
+        text = "".join(f"u{u},i{j},{t}\n" for u, j, t in
+                       (rows[i] for i in rng.permutation(len(rows))))
+        log = ingest_log(_stream("user,item,timestamp\n" + text))
+        kcore = core_filter(log, 2)
+        split = timepoint_split(kcore, 8, 14)
+        save_split(split, tmp_path / "split.npz")
+        back = load_split(tmp_path / "split.npz")
+        reversed_log = log.replace_events(log.users[::-1], log.items[::-1],
+                                          log.timestamps[::-1])
+        for part in (log, kcore, split.train, split.validation, split.test,
+                     back.train, back.validation, back.test, reversed_log):
+            assert _in_user_time_order(part)
 
 
 class TestCoreFilter:

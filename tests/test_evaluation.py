@@ -232,6 +232,18 @@ class TestBatchedWalk:
         for row, history in enumerate(histories):
             assert top[row].tolist() == predict_next(model, history, 6).tolist()
 
+    def test_shuffled_train_log_gives_the_same_tensor_and_report(self):
+        train, test = _random_split(6, 23, True)
+        rng = np.random.default_rng(6)
+        rows = list(zip(train.users.tolist(), train.items.tolist(), train.timestamps.tolist()))
+        shuffled = make_log([rows[i] for i in rng.permutation(len(rows))], N_USERS, N_ITEMS)
+        tensors = [build_positional_tensor(log, 4) for log in (train, shuffled)]
+        for name in ("users", "items", "positions"):
+            assert np.array_equal(getattr(tensors[0], name), getattr(tensors[1], name))
+        for kind in ("mp", "svd-plain", "global", "local-restored"):
+            assert (evaluate(_model(kind, shuffled), shuffled, test, n=3)
+                    == evaluate(_model(kind, train), train, test, n=3))
+
     def test_cutoff_below_one_rejected(self):
         train, test = _random_split(0, 3, False)
         with pytest.raises(ValueError, match="n must be"):
