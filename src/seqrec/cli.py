@@ -19,8 +19,8 @@ from .linalg import ConvergenceError
 from .models import (
     GlobalAttentionTrainer,
     LocalAttentionTrainer,
-    load_model,
     save_model,
+    # cli calls neither train_gasatf nor train_lasatf; seqbench's tracer patches them here
     train_gasatf,
     train_lasatf,
     train_mp,
@@ -52,12 +52,29 @@ def _is_integer(val):
 
 
 # what each entry of a list-valued model parameter must be
-_ENTRY_RULES = {
-    **dict.fromkeys(("rank", "r1", "r2", "r3", "r4", "window_values"),
-                    ("positive integers", lambda val: _is_integer(val) and val >= 1)),
-    **dict.fromkeys(("f", "s"), ("real numbers",
-                                 lambda val: _is_integer(val) or isinstance(val, float))),
-    "regime": ("'plain' or 'restored'", lambda val: val in ("plain", "restored")),
+_POSITIVE = ("positive integers", lambda val: _is_integer(val) and val >= 1)
+_REAL = ("real numbers", lambda val: _is_integer(val) or isinstance(val, float))
+_REGIME = {"regime": (["plain", "restored"],
+                      ("'plain' or 'restored'", lambda val: val in ("plain", "restored")), None)}
+_USER_ITEM = {"r1": (_TENSOR_RANKS, _POSITIVE, lambda m, n, k: m),
+              "r2": (_TENSOR_RANKS, _POSITIVE, lambda m, n, k: n)}
+_ATTENTION = {"f": ([0.0, 0.5, 1.0], _REAL, None), "s": ([0.0, 0.2, 0.4, 0.6], _REAL, None),
+              **_REGIME}
+
+# Each model kind's grid, in enumeration order: parameter -> (default list,
+# entry rule, cap). A cap maps the train log's (users, items, K) to the
+# largest value worth trying: a list keeps its values up to the cap, or the
+# cap alone if none is that small. Local's window list is model.window_values;
+# every other list is set in model.grid under the parameter's name.
+_KINDS = {
+    "mp": {},
+    "svd": {"rank": (_SVD_RANKS, _POSITIVE, lambda m, n, k: min(m, n)),
+            "s": ([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], _REAL, None), **_REGIME},
+    "global": {**_USER_ITEM, "r3": ([5, 10, 15, 20], _POSITIVE, lambda m, n, k: k),
+               **_ATTENTION},
+    "local": {"window": ([1, 2, 5, 10], _POSITIVE, lambda m, n, k: k), **_USER_ITEM,
+              "r3": ([1, 2, 5, 10], _POSITIVE, None), "r4": ([1, 2, 5, 10], _POSITIVE, None),
+              **_ATTENTION},
 }
 
 
@@ -68,6 +85,21 @@ def _deep_update(base, extra):
         else:
             base[key] = val
     return base
+
+
+def _lists(kind, model):
+    """The value lists the model config sets, by grid parameter of the kind,
+    each with the name it is set under; a name the kind lacks is an error."""
+    names = {("window_values" if param == "window" else f"grid.{param}"): param
+             for param in _KINDS[kind]}
+    given = {f"grid.{key}": values for key, values in model.get("grid", {}).items()}
+    if "window_values" in model:
+        given["window_values"] = model["window_values"]
+    for name in given:
+        if name not in names:
+            raise ConfigError(f"model.{name} is not a parameter of model kind {kind!r} "
+                              f"(its parameters: {list(names)})")
+    return {names[name]: (name, values) for name, values in given.items()}
 
 
 def load_config(path, preset=None, overrides=None):
@@ -81,7 +113,11 @@ def load_config(path, preset=None, overrides=None):
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (choose from {sorted(PRESETS)})")
-        config = _deep_update(dict(json.loads(json.dumps(PRESETS[preset]))), config)
+        defaults = json.loads(json.dumps(PRESETS[preset]))
+        model = config.get("model")
+        if isinstance(model, dict) and model.get("kind", "local") != "local":
+            del defaults["model"]  # a preset's windows and r3/r4 lists are local's
+        config = _deep_update(defaults, config)
     if overrides:
         _deep_update(config, overrides)
     if "seed" not in config:
@@ -100,16 +136,21 @@ def load_config(path, preset=None, overrides=None):
     for key in ("K", "n", "budget", "max_sweeps"):
         if integers[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {integers[key]!r}")
+    kind = model.get("kind", "local")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown model kind {kind!r} (choose from {list(_KINDS)})")
     grid = model.get("grid", {})
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"model.grid must map each parameter to a list, got {grid!r}")
     if not isinstance(model.get("window_values", []), list):
         raise ConfigError(f"model.window_values must be a list, got {model['window_values']!r}")
-    lists = {**grid, "window_values": model.get("window_values", [])}
-    for name, (wanted, valid) in _ENTRY_RULES.items():
-        bad = [val for val in lists.get(name, []) if not valid(val)]
+    for param, (name, values) in _lists(kind, model).items():
+        _, (wanted, valid), _ = _KINDS[kind][param]
+        if not values:
+            raise ConfigError(f"model.{name} must list at least one value")
+        bad = [val for val in values if not valid(val)]
         if bad:
-            raise ConfigError(f"model {name} entries must be {wanted}, got {bad[0]!r}")
+            raise ConfigError(f"model.{name} entries must be {wanted}, got {bad[0]!r}")
     return config
 
 
@@ -171,58 +212,23 @@ def cmd_prepare(config, args):
     return stats
 
 
-def _clip(values, cap):
-    kept = [v for v in values if v <= cap]
-    return kept or [cap]
-
-
 def _grid_space(kind, config, m, n_items, k):
-    model_cfg = config.get("model", {})
-    grid = model_cfg.get("grid", {})
-    budget = config.get("budget", 200)
-    if kind == "mp":
-        return GridSpace(values={"_": [0]}, budget=budget)
-    if kind == "svd":
-        values = {
-            "rank": _clip(grid.get("rank", _SVD_RANKS), min(m, n_items)),
-            "s": grid.get("s", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-            "regime": grid.get("regime", ["plain", "restored"]),
-        }
-        return GridSpace(values=values, budget=budget)
-    if kind == "global":
-        values = {
-            "r1": _clip(grid.get("r1", _TENSOR_RANKS), m),
-            "r2": _clip(grid.get("r2", _TENSOR_RANKS), n_items),
-            "r3": _clip(grid.get("r3", [5, 10, 15, 20]), k),
-            "f": grid.get("f", [0.0, 0.5, 1.0]),
-            "s": grid.get("s", [0.0, 0.2, 0.4, 0.6]),
-            "regime": grid.get("regime", ["plain", "restored"]),
-        }
-        return GridSpace(values=values, budget=budget)
-    if kind == "local":
-        windows = model_cfg.get("window_values", [1, 2, 5, 10])
-        values = {
-            "window": [w for w in windows if w <= k] or [k],
-            "r1": _clip(grid.get("r1", _TENSOR_RANKS), m),
-            "r2": _clip(grid.get("r2", _TENSOR_RANKS), n_items),
-            "r3": grid.get("r3", [1, 2, 5, 10]),
-            "r4": grid.get("r4", [1, 2, 5, 10]),
-            "f": grid.get("f", [0.0, 0.5, 1.0]),
-            "s": grid.get("s", [0.0, 0.2, 0.4, 0.6]),
-            "regime": grid.get("regime", ["plain", "restored"]),
-        }
-        constraints = (
-            lambda p: p["r3"] < p["window"],
-            lambda p: p["r4"] < p["window"],
-            lambda p: p["r4"] <= k - p["window"] + 1,
-        )
-        return GridSpace(values=values, constraints=constraints, budget=budget)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    given = _lists(kind, config.get("model", {}))
+    values = {}
+    for param, (default, _, cap) in _KINDS[kind].items():
+        values[param] = given[param][1] if param in given else default
+        if cap:
+            top = cap(m, n_items, k)
+            values[param] = [v for v in values[param] if v <= top] or [top]
+    constraints = (
+        lambda p: p["r3"] < p["window"],
+        lambda p: p["r4"] < p["window"],
+        lambda p: p["r4"] <= k - p["window"] + 1,
+    ) if "window" in values else ()
+    return GridSpace(values=values, constraints=constraints, budget=config.get("budget", 200))
 
 
 def _factory(kind, train_log, tensor, seed, config):
-    k = config.get("K", 50)
-
     # The regime only changes how an SVD model scores, and the grid enumerates
     # it last, so points sharing (rank, s) are adjacent: a one-entry cache
     # trains each factorization once.
@@ -237,7 +243,7 @@ def _factory(kind, train_log, tensor, seed, config):
             return dataclasses.replace(factorize(point["rank"], point["s"]),
                                        regime=point["regime"])
         if kind == "global":
-            attention = build_attention(k, f=point["f"])
+            attention = build_attention(tensor.max_position, f=point["f"])
             return GlobalAttentionTrainer(
                 tensor, attention, (point["r1"], point["r2"], point["r3"]),
                 s=point["s"], seed=seed, regime=point["regime"])
@@ -299,26 +305,12 @@ def cmd_final(config, args):
     merged = split.train.replace_events(*(
         np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
         for name in ("users", "items", "timestamps")))
-    if kind == "mp":
-        model = train_mp(merged)
-    elif kind == "svd":
-        model = train_puresvd(merged, r=point["rank"], s=point["s"],
-                              regime=point["regime"], seed=seed)
-    elif kind == "global":
-        tensor = dp.build_positional_tensor(merged, k)
-        model = train_gasatf(tensor, f=point["f"],
-                             ranks=(point["r1"], point["r2"], point["r3"]),
-                             s=point["s"], seed=seed, sweeps=sweeps,
-                             regime=point["regime"])
-    elif kind == "local":
-        tensor = dp.build_positional_tensor(merged, k)
-        model = train_lasatf(tensor, window=point["window"], f=point["f"],
-                             ranks=(point["r1"], point["r2"], point["r3"], point["r4"]),
-                             s=point["s"], seed=seed, sweeps=sweeps,
-                             regime=point["regime"])
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-
+    tensor = dp.build_positional_tensor(merged, k) if kind in ("global", "local") else None
+    model = _factory(kind, merged, tensor, seed, config)(point)
+    if hasattr(model, "sweep"):
+        for _ in range(sweeps):
+            model.sweep()
+        model = model.snapshot()
     save_model(model, out / "model.npz")
     report = evaluate(model, merged, split.test, n=n)
     record = {"split": "test", "kind": kind, "config": point,

@@ -16,10 +16,10 @@ import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
 from seqrec.cli import PRESETS, load_config, main
-from seqrec.data import load_split
+from seqrec.data import build_positional_tensor, load_split
 from seqrec.evaluation import evaluate
 from seqrec.linalg import ConvergenceError
-from seqrec.models import load_model, train_puresvd
+from seqrec.models import load_model, save_model, train_gasatf, train_lasatf, train_puresvd
 
 TOY_ROWS = [
     (0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
@@ -252,6 +252,7 @@ class TestTune:
         {"model": {"kind": "global", "grid": {"f": ["x"]}}},
         {"model": {"kind": "local", "window_values": ["a"]}},
         {"model": {"kind": "svd", "grid": {"regime": ["bogus"]}}},
+        {"model": {"kind": "svd", "grid": {"regime": []}}},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
     def test_bad_value_exit_2_before_work(self, tmp_path, monkeypatch, capsys, extra):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)
@@ -265,6 +266,41 @@ class TestTune:
             assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
             assert next(iter(extra)) in err
         assert not (out / "grid_log.jsonl").exists()
+
+    @pytest.mark.parametrize("model, named", [
+        ({"kind": "svd", "grid": {"rnak": [1]}}, "grid.rnak"),
+        ({"kind": "mp", "grid": {"rank": [1]}}, "grid.rank"),
+        ({"kind": "local", "grid": {"window": [2]}}, "grid.window"),
+        ({"kind": "svd", "window_values": [2]}, "window_values"),
+        ({"kind": "global", "window_values": [2]}, "window_values"),
+        ({"kind": "mp", "window_values": [2]}, "window_values"),
+        ({"kind": "local", "window_values": []}, "window_values"),
+        ({"kind": "global", "grid": {"f": []}}, "grid.f"),
+        ({"kind": "bogus"}, "bogus"),
+        ({"kind": ["local"]}, "kind"),
+    ], ids=lambda val: repr(val) if isinstance(val, dict) else val)
+    def test_model_config_error_names_it_before_work(self, tmp_path, capsys, model, named):
+        cfg, out = _toy_config(tmp_path, model=model)
+        for command in ("prepare", "tune"):
+            assert main(["--config", str(cfg), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+            assert named in err
+        assert not (out / "split.npz").exists()
+
+    @pytest.mark.parametrize("kind", ["mp", "svd", "global", "local"])
+    def test_preset_tunes_every_kind(self, tmp_path, kind):
+        tensor_grid = {"r1": [2], "r2": [2], "f": [0.5], "s": [0.2], "regime": ["plain"]}
+        model = {"mp": {"kind": "mp"}, "svd": SVD_GRID,
+                 "global": {"kind": "global", "grid": tensor_grid},
+                 "local": {"kind": "local", "grid": {**tensor_grid, "r3": [1], "r4": [1]}}}[kind]
+        cfg, out = _toy_config(tmp_path, model=model, max_sweeps=1, patience=1)
+        config = load_config(cfg, preset="ml-1m")
+        assert config["model"].get("window_values") == ([20, 40, 60, 80] if kind == "local"
+                                                        else None)
+        for command in ("prepare", "tune"):
+            assert main(["--config", str(cfg), "--preset", "ml-1m", command]) == 0
+        assert json.loads((out / "best.json").read_text())["kind"] == kind
 
     def test_without_prepare_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
@@ -353,6 +389,43 @@ class TestFinalAndReport:
             for name in ("users", "items", "timestamps")))
         report = evaluate(load_model(out / "model.npz"), merged, split.test, n=2)
         assert {key: record[key] for key in report.as_dict()} == report.as_dict()
+
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_final_model_equals_direct_training(self, tmp_path, kind):
+        csv = tmp_path / "markov.csv"
+        _write_csv(csv, _markov_rows())
+        grid = {"r1": [4], "r2": [4], "r3": [1, 2], "f": [0.5], "s": [0.2],
+                "regime": ["restored"]}
+        model = {"global": {"kind": "global", "grid": grid},
+                 "local": {"kind": "local", "window_values": [3],
+                           "grid": {**grid, "r4": [1, 2]}}}[kind]
+        cfg, out = _toy_config(tmp_path, K=4, model=model, max_sweeps=3, patience=1,
+                               dataset={"path": str(csv)}, split={"t_valid": 5, "t_test": 6})
+        for command in ("prepare", "tune", "final"):
+            assert main(["--config", str(cfg), command]) == 0
+        tuned = json.loads((out / "best.json").read_text())
+        p, sweeps = tuned["config"], tuned["sweep_count"]
+        assert sweeps >= 1
+        split = load_split(out / "split.npz")
+        merged = split.train.replace_events(*(
+            np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
+            for name in ("users", "items", "timestamps")))
+        tensor = build_positional_tensor(merged, 4)
+        if kind == "global":
+            direct = train_gasatf(tensor, f=p["f"], ranks=(p["r1"], p["r2"], p["r3"]),
+                                  s=p["s"], seed=0, sweeps=sweeps, regime=p["regime"])
+        else:
+            direct = train_lasatf(tensor, window=p["window"], f=p["f"],
+                                  ranks=(p["r1"], p["r2"], p["r3"], p["r4"]),
+                                  s=p["s"], seed=0, sweeps=sweeps, regime=p["regime"])
+        save_model(direct, tmp_path / "direct.npz")
+
+        def arrays(path):
+            with np.load(path) as data:
+                return {k: (data[k].dtype.str, data[k].shape, data[k].tobytes())
+                        for k in data.files}
+
+        assert arrays(out / "model.npz") == arrays(tmp_path / "direct.npz")
 
     def test_final_without_tune_exit_3(self, tmp_path):
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
