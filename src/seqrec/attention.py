@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
 
 __all__ = [
     "AttentionMatrix",
@@ -29,7 +28,9 @@ class AttentionMatrix:
     weights: np.ndarray = field(repr=False)
 
     def dense(self):
-        return toeplitz(self.weights, np.zeros(self.size))
+        """The matrix itself, built in NumPy so that scoring loads no SciPy."""
+        lag = np.arange(self.size)
+        return np.tril(self.weights[np.abs(lag[:, None] - lag)])
 
     def apply(self, x):
         """Compute A @ x by one Toeplitz product."""
@@ -43,6 +44,8 @@ class AttentionMatrix:
         """Solve A.T y = b by back-substitution (no explicit inverse)."""
         if self.weights[0] == 0:
             raise np.linalg.LinAlgError("attention matrix is singular (zero main diagonal)")
+        from scipy.linalg import solve_triangular
+
         return solve_triangular(self.dense().T, np.asarray(b, dtype=float), lower=False)
 
 

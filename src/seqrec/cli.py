@@ -78,6 +78,17 @@ _KINDS = {
 }
 
 
+# Every key a config may set, by section ("" is the top level); any other key
+# is a misspelling, which would otherwise leave its default in force unseen.
+_KEYS = {
+    "": ("seed", "dataset", "split", "core", "K", "n", "budget", "patience", "max_sweeps",
+         "model", "output"),
+    "dataset": ("path", "delimiter", "user_col", "item_col", "time_col", "header"),
+    "split": ("t_valid", "t_test", "valid_count", "test_count"),
+    "model": ("kind", "grid", "window_values"),
+}
+
+
 def _deep_update(base, extra):
     for key, val in extra.items():
         if isinstance(val, dict) and isinstance(base.get(key), dict):
@@ -125,6 +136,11 @@ def load_config(path, preset=None, overrides=None):
     for key in ("dataset", "split", "model"):
         if not isinstance(config.get(key, {}), dict):
             raise ConfigError(f"{key} must be a mapping, got {config[key]!r}")
+    for section, known in _KEYS.items():
+        for key in config.get(section, {}) if section else config:
+            if key not in known:
+                name = f"{section}.{key}" if section else key
+                raise ConfigError(f"unknown config key {name!r} (known here: {', '.join(known)})")
     split, model = config.get("split", {}), config.get("model", {})
     integers = {key: config.get(key, 1)
                 for key in ("seed", "K", "core", "n", "budget", "patience", "max_sweeps")}
@@ -133,9 +149,15 @@ def load_config(path, preset=None, overrides=None):
     for key, val in integers.items():
         if not _is_integer(val):
             raise ConfigError(f"{key} must be an integer, got {val!r}")
-    for key in ("K", "n", "budget", "max_sweeps"):
+    for key in ("K", "n", "budget", "patience", "max_sweeps"):
         if integers[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {integers[key]!r}")
+    for key in ("split.valid_count", "split.test_count"):
+        if integers.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be an integer >= 0, got {integers[key]!r}")
+    if "t_valid" in split and "t_test" in split and split["t_valid"] >= split["t_test"]:
+        raise ConfigError(f"split.t_valid must be below split.t_test, got "
+                          f"{split['t_valid']} and {split['t_test']}")
     kind = model.get("kind", "local")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown model kind {kind!r} (choose from {list(_KINDS)})")
@@ -259,6 +281,9 @@ def _factory(kind, train_log, tensor, seed, config):
 
 
 def cmd_tune(config, args):
+    # the solvers' SciPy, loaded up front so that no solve pays for its import
+    import scipy.sparse.linalg  # noqa: F401
+
     out = _out_dir(config, args)
     split_path = out / "split.npz"
     if not split_path.exists():
@@ -287,6 +312,9 @@ def cmd_tune(config, args):
 
 
 def cmd_final(config, args):
+    # the solvers' SciPy, loaded up front so that no solve pays for its import
+    import scipy.sparse.linalg  # noqa: F401
+
     out = _out_dir(config, args)
     split_path = out / "split.npz"
     best_path = out / "best.json"

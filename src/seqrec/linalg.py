@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, svds
 
 __all__ = [
     "ConvergenceError",
@@ -43,6 +42,8 @@ class ImplicitMatrix:
 
     def to_linear_operator(self):
         """scipy view; solvers may pass (n, 1) columns, which reach the closures 1-D."""
+        from scipy.sparse.linalg import LinearOperator
+
         return LinearOperator(shape=self.shape, dtype=float,
                               matvec=lambda x: self.matvec(np.ravel(x)),
                               rmatvec=lambda y: self.rmatvec(np.ravel(y)))
@@ -66,6 +67,14 @@ def random_orthonormal(n, r, seed):
     return q
 
 
+def svds(*args, **kwargs):
+    """scipy's ``svds``, imported when first called, so that importing seqrec
+    loads no SciPy; ``_propack`` looks it up here, where seqbench's tracer wraps it."""
+    from scipy.sparse.linalg import svds
+
+    return svds(*args, **kwargs)
+
+
 def _propack(op, k, rng, tol=SVD_TOL):
     u, s, _ = svds(op, k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
                    maxiter=max(10 * k, MIN_LANCZOS_BASIS), solver="propack", rng=rng)
@@ -75,6 +84,8 @@ def _propack(op, k, rng, tol=SVD_TOL):
 
 def _deflated(op, u):
     """(I - U U^T) A: the operator with the columns of U projected out of its range."""
+    from scipy.sparse.linalg import LinearOperator
+
     def project(x):
         return x - u @ (u.T @ x)
 

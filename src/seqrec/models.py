@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .attention import AttentionMatrix, build_attention, triangular_restore
 from .linalg import ImplicitMatrix, random_orthonormal, skew_block_cache, truncated_svd
@@ -108,6 +107,8 @@ def _block_scorer(model):
                                       np.zeros(len(indptr) - 1))
     if model.regime not in ("plain", "restored"):
         raise ValueError(f"unknown regime {model.regime!r}")
+    import scipy.sparse as sp
+
     v = np.ascontiguousarray(model.v)
     d = model.scaling.d if model.regime == "restored" else None
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))
@@ -183,6 +184,8 @@ class SVDModel:
 
 def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
     """Top-r right singular vectors of the popularity-scaled binary matrix."""
+    import scipy.sparse as sp
+
     m, n = train.n_users, train.n_items
     if r > min(m, n):
         raise ValueError(f"rank {r} infeasible for a {m} x {n} matrix")

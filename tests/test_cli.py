@@ -253,6 +253,12 @@ class TestTune:
         {"model": {"kind": "local", "window_values": ["a"]}},
         {"model": {"kind": "svd", "grid": {"regime": ["bogus"]}}},
         {"model": {"kind": "svd", "grid": {"regime": []}}},
+        {"budgte": 3}, {"patience": 0},
+        {"dataset": {"path": "events.csv", "delimeter": ";"}},
+        {"split": {"t_valid": 2, "t_test": 3, "t_tset": 4}},
+        {"split": {"t_valid": 3, "t_test": 3}}, {"split": {"t_valid": 3, "t_test": 2}},
+        {"split": {"valid_count": -1, "test_count": 1}},
+        {"split": {"valid_count": 1, "test_count": -1}},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
     def test_bad_value_exit_2_before_work(self, tmp_path, monkeypatch, capsys, extra):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)
@@ -278,6 +284,8 @@ class TestTune:
         ({"kind": "global", "grid": {"f": []}}, "grid.f"),
         ({"kind": "bogus"}, "bogus"),
         ({"kind": ["local"]}, "kind"),
+        ({"kind": "svd", "gird": {"rank": [1]}}, "model.gird"),
+        ({"kind": "local", "windows": [2]}, "model.windows"),
     ], ids=lambda val: repr(val) if isinstance(val, dict) else val)
     def test_model_config_error_names_it_before_work(self, tmp_path, capsys, model, named):
         cfg, out = _toy_config(tmp_path, model=model)
@@ -522,3 +530,39 @@ def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(outputs[0]) == ["best.json", "grid_log.jsonl", "model.npz",
                                   "report.jsonl", "split.npz", "stats.json"]
     assert outputs[0] == outputs[1]
+
+
+_NO_SOLVE = """
+import sys
+import seqrec
+import seqrec.cli
+from seqrec.models import load_model, predict_next
+config, out, *models = sys.argv[1:]
+if seqrec.cli.main(["--config", config, "--output", out, "prepare"]):
+    sys.exit("prepare failed")
+for path in models:
+    predict_next(load_model(path), [0, 1], 2)
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_prepare_and_serving_load_no_scipy(tmp_path):
+    # a fresh process: this one has SciPy loaded already
+    cfg, out = _toy_config(tmp_path)
+    assert main(["--config", str(cfg), "prepare"]) == 0
+    train = load_split(out / "split.npz").train
+    tensor = build_positional_tensor(train, 3)
+    models = {"svd": train_puresvd(train, r=1, s=0.5, regime="restored"),
+              "global": train_gasatf(tensor, f=0.5, ranks=(1, 1, 1), sweeps=1),
+              "local": train_lasatf(tensor, window=2, f=0.5, ranks=(1, 1, 1, 1), sweeps=1)}
+    for kind, model in models.items():
+        save_model(model, tmp_path / f"{kind}.npz")
+    src = str(Path(seqrec.cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_SOLVE, str(cfg), str(tmp_path / "fresh"),
+                           *(str(tmp_path / f"{kind}.npz") for kind in models)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fresh" / "split.npz").exists()
+    assert done.stdout.splitlines()[-1] == "scipy modules:"
