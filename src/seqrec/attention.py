@@ -41,12 +41,12 @@ class AttentionMatrix:
         return self.dense().T @ np.asarray(x, dtype=float)
 
     def solve_transpose(self, b):
-        """Solve A.T y = b by back-substitution (no explicit inverse)."""
+        """Solve A.T y = b (no explicit inverse). LU with partial pivoting of a
+        triangular matrix with a nonzero diagonal swaps no rows and leaves L = I,
+        so this is back-substitution, without loading SciPy."""
         if self.weights[0] == 0:
             raise np.linalg.LinAlgError("attention matrix is singular (zero main diagonal)")
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(self.dense().T, np.asarray(b, dtype=float), lower=False)
+        return np.linalg.solve(self.dense().T, np.asarray(b, dtype=float))
 
 
 def build_attention(size, f=0.0, mode="power-decay"):

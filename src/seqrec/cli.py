@@ -155,6 +155,8 @@ def load_config(path, preset=None, overrides=None):
     for key in ("split.valid_count", "split.test_count"):
         if integers.get(key, 0) < 0:
             raise ConfigError(f"{key} must be an integer >= 0, got {integers[key]!r}")
+    if split:
+        _split_pair(split)
     if "t_valid" in split and "t_test" in split and split["t_valid"] >= split["t_test"]:
         raise ConfigError(f"split.t_valid must be below split.t_test, got "
                           f"{split['t_valid']} and {split['t_test']}")
@@ -182,16 +184,21 @@ def _out_dir(config, args):
     return out
 
 
-def _resolve_boundaries(log, split_cfg):
-    if "t_valid" in split_cfg and "t_test" in split_cfg:
-        return split_cfg["t_valid"], split_cfg["t_test"]
-    if "valid_count" in split_cfg and "test_count" in split_cfg:
-        t_test = dp.boundary_for_count(log, split_cfg["test_count"])
-        head = log.replace_events(*(arr[log.timestamps < t_test]
-                                    for arr in (log.users, log.items, log.timestamps)))
-        t_valid = dp.boundary_for_count(head, split_cfg["valid_count"])
-        return t_valid, t_test
+def _split_pair(split_cfg):
+    """The pair of keys the split is resolved from: boundaries before counts."""
+    for pair in (("t_valid", "t_test"), ("valid_count", "test_count")):
+        if all(key in split_cfg for key in pair):
+            return pair
     raise ConfigError("split must set t_valid/t_test or valid_count/test_count")
+
+
+def _resolve_boundaries(log, split_cfg):
+    if _split_pair(split_cfg) == ("t_valid", "t_test"):
+        return split_cfg["t_valid"], split_cfg["t_test"]
+    t_test = dp.boundary_for_count(log, split_cfg["test_count"])
+    head = log.replace_events(*(arr[log.timestamps < t_test]
+                                for arr in (log.users, log.items, log.timestamps)))
+    return dp.boundary_for_count(head, split_cfg["valid_count"]), t_test
 
 
 def cmd_prepare(config, args):
@@ -201,6 +208,7 @@ def cmd_prepare(config, args):
     path = Path(ds["path"])
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
+    _split_pair(config.get("split", {}))  # a config error, so before any reading
     log = dp.ingest_log(
         path,
         delimiter=ds.get("delimiter", ","),
@@ -281,9 +289,6 @@ def _factory(kind, train_log, tensor, seed, config):
 
 
 def cmd_tune(config, args):
-    # the solvers' SciPy, loaded up front so that no solve pays for its import
-    import scipy.sparse.linalg  # noqa: F401
-
     out = _out_dir(config, args)
     split_path = out / "split.npz"
     if not split_path.exists():
@@ -312,9 +317,6 @@ def cmd_tune(config, args):
 
 
 def cmd_final(config, args):
-    # the solvers' SciPy, loaded up front so that no solve pays for its import
-    import scipy.sparse.linalg  # noqa: F401
-
     out = _out_dir(config, args)
     split_path = out / "split.npz"
     best_path = out / "best.json"

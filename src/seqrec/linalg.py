@@ -21,6 +21,10 @@ SVD_TOL = 1e-8
 # stops short at small r (r = 2-20 took 46-204 steps on 300-2000-row matrices).
 MIN_LANCZOS_BASIS = 300
 DENSE_SVD_DIM = 32
+# At or below this many entries PROPACK's two bases, (rows + cols) * (min + 1)
+# doubles, outgrow the matrix itself, and materializing it takes at most
+# MIN_LANCZOS_BASIS applies: a dense SVD is cheaper and loads no SciPy.
+DENSE_SVD_SIZE = MIN_LANCZOS_BASIS ** 2
 # Largest operator (rows * cols) a failed PROPACK run may materialize: 32 MB.
 DENSE_FALLBACK_SIZE = 1 << 22
 # svds hands PROPACK tol**2: the search for a missed triplet stops at 1e-4,
@@ -123,14 +127,15 @@ def truncated_svd(y, r, seed=0, exact=False):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values, from PROPACK seeded by ``seed``. Small problems, ``exact``
-    and PROPACK failures at r >= min - 1 (a breakdown at the operator's rank)
+    singular values, from PROPACK seeded by ``seed``. Operators with a side of
+    at most DENSE_SVD_DIM or at most DENSE_SVD_SIZE entries, ``exact``, and
+    PROPACK failures at r >= min - 1 (a breakdown at the operator's rank)
     or on at most DENSE_FALLBACK_SIZE entries use a dense SVD.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
-    if not exact and min(rows, cols) > DENSE_SVD_DIM:
+    if not exact and min(rows, cols) > DENSE_SVD_DIM and rows * cols > DENSE_SVD_SIZE:
         try:
             return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed))
         except np.linalg.LinAlgError as exc:

@@ -85,15 +85,16 @@ def _block_scorer(model):
     which gives the catalog scores of the block, one row per history, and per
     row a bound ``tau`` on how far a row may lie from ``score_history``'s.
 
-    History b is ``items[indptr[b]:indptr[b + 1]]``, oldest first, all inside
-    the catalog. Each row gets the weights ``score_history`` projects: PureSVD
-    gives each distinct item 1, the attention models give the K - 1 most
-    recent items the position profile tail, and popularity's row is its
-    counts, so its bound is 0. The block is projected as ``(H V) V^T`` (times
-    ``D^-1`` and with ``d`` in ``H`` when restored), which rounds differently
-    from the per-history products. Both stay within ``gamma_k |V| |V|^T |h|``
-    of exact arithmetic (``gamma_k = k u / (1 - k u)``, k counting the
-    roundings along one score), and ``tau`` sums the two bounds, taking
+    History b is ``items[indptr[b]:indptr[b + 1]]``, oldest first, not empty
+    and all inside the catalog. Each row gets the weights ``score_history``
+    projects: PureSVD gives each distinct item 1, the attention models give
+    the K - 1 most recent items the position profile tail, and popularity's
+    row is its counts, so its bound is 0. The block is projected as
+    ``(H V) V^T`` (times ``D^-1`` and with ``d`` in ``H`` when restored),
+    which rounds differently from the per-history products. Both stay
+    within ``gamma_k |V| |V|^T |h|`` of exact arithmetic
+    (``gamma_k = k u / (1 - k u)``, k counting the roundings along one
+    score), and ``tau`` sums the two bounds, taking
     ``max_j |V_j| |V_i| <= max_j ||V_j|| ||V_i||``. A model without a block
     form gets an infinite bound, which sends every row to ``predict_next``.
     """
@@ -107,37 +108,47 @@ def _block_scorer(model):
                                       np.zeros(len(indptr) - 1))
     if model.regime not in ("plain", "restored"):
         raise ValueError(f"unknown regime {model.regime!r}")
-    import scipy.sparse as sp
-
     v = np.ascontiguousarray(model.v)
+    r = v.shape[1]
     d = model.scaling.d if model.regime == "restored" else None
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))
     # tau per unit of gamma_k and of sum_i |h_i| ||V_i||
     scale = 2 * norms.max() * ((1 / d).max() if d is not None else 1.0)
     unit = np.finfo(float).eps / 2
+    # Restored H holds d_j w, so d_j goes into item j's row of V and its norm
+    # once. The appended zero row takes the entries a history does not score.
+    v_h = np.vstack([v * d[:, None] if d is not None else v, np.zeros(r)])
+    norms_h = np.append(norms * d if d is not None else norms, 0.0)
 
     def score(items, indptr):
         lengths = np.diff(indptr)
+        rows = np.repeat(np.arange(len(lengths)), lengths)
         if kind == "svd":
-            weights = np.ones(len(items))
+            # the user's binary row: a repeated item counts once, so each
+            # repeat is sent to the zero row. Rows are consecutive, so sorting
+            # the keys moves no entry to another row.
+            keys = np.sort(rows * model.n_items + items)
+            items = keys - rows * model.n_items
+            items[1:][keys[1:] == keys[:-1]] = model.n_items
+            hv = np.add.reduceat(v_h.take(items, axis=0), indptr[:-1], axis=0)
+            h_norms = np.bincount(rows, weights=norms_h[items], minlength=len(lengths))
         else:
+            # cells[p, b]: the item at profile position p of history b, or the
+            # zero row where the history is shorter than the profile
             profile = model.position_profile
             slot = np.arange(len(items)) - np.repeat(indptr[1:] - len(profile), lengths)
             kept = slot >= 0
-            items, weights = items[kept], profile[slot[kept]]
+            cells = np.full((len(profile), len(lengths)), model.n_items)
+            cells[slot[kept], rows[kept]] = items[kept]
             lengths = np.minimum(lengths, len(profile))
-        h = sp.csr_matrix((weights, items, np.concatenate(([0], np.cumsum(lengths)))),
-                          shape=(len(lengths), model.n_items))
-        if kind == "svd":
-            h.sum_duplicates()
-            h.data[:] = 1.0  # the user's binary row: a repeated item counts once
-        if d is not None:
-            h.data *= d[h.indices]
-        scores = (h @ v) @ v.T
+            columns = v_h.take(cells, axis=0).reshape(len(profile), len(lengths) * r)
+            hv = (profile @ columns).reshape(-1, r)
+            h_norms = np.abs(profile) @ norms_h[cells]
+        scores = hv @ v.T
         if d is not None:
             scores /= d
-        k = v.shape[1] + 2 * lengths + 3
-        return scores, k * unit / (1 - k * unit) * scale * (abs(h) @ norms)
+        k = r + 2 * lengths + 3
+        return scores, k * unit / (1 - k * unit) * scale * h_norms
 
     return score
 

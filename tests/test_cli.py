@@ -257,6 +257,7 @@ class TestTune:
         {"dataset": {"path": "events.csv", "delimeter": ";"}},
         {"split": {"t_valid": 2, "t_test": 3, "t_tset": 4}},
         {"split": {"t_valid": 3, "t_test": 3}}, {"split": {"t_valid": 3, "t_test": 2}},
+        {"split": {"t_valid": 2}}, {"split": {"t_valid": 2, "test_count": 1}},
         {"split": {"valid_count": -1, "test_count": 1}},
         {"split": {"valid_count": 1, "test_count": -1}},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
@@ -357,6 +358,7 @@ class TestTune:
 
         monkeypatch.setattr(seqrec.linalg, "svds", failing)
         monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_DIM", 0)
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         monkeypatch.setattr(seqrec.linalg, "DENSE_FALLBACK_SIZE", 0)
         capsys.readouterr()
         assert main(["--config", str(cfg), "tune"]) == 1
@@ -534,22 +536,33 @@ def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 _NO_SOLVE = """
 import sys
+from pathlib import Path
 import seqrec
 import seqrec.cli
 from seqrec.models import load_model, predict_next
-config, out, *models = sys.argv[1:]
-if seqrec.cli.main(["--config", config, "--output", out, "prepare"]):
-    sys.exit("prepare failed")
-for path in models:
+out, *paths = sys.argv[1:]
+for config in (path for path in paths if path.endswith(".yaml")):
+    for command in ("prepare", "tune", "final"):
+        if seqrec.cli.main(["--config", config, "--output", str(Path(out, Path(config).stem)),
+                            command]):
+            sys.exit(command + " failed on " + config)
+for path in (path for path in paths if path.endswith(".npz")):
     predict_next(load_model(path), [0, 1], 2)
 print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_prepare_and_serving_load_no_scipy(tmp_path):
-    # a fresh process: this one has SciPy loaded already
-    cfg, out = _toy_config(tmp_path)
-    assert main(["--config", str(cfg), "prepare"]) == 0
+    # a fresh process: this one has SciPy loaded already. Small GA/LA operators
+    # are solved densely, so prepare, tune and final need no SciPy either.
+    grid = {"r1": [2], "r2": [2], "f": [0.5], "s": [0.2], "regime": ["plain"]}
+    configs = {"global": {"kind": "global", "grid": grid},
+               "local": {"kind": "local", "window_values": [2],
+                         "grid": {**grid, "r3": [1], "r4": [1]}}}
+    for name, model in configs.items():
+        cfg, out = _toy_config(tmp_path, model=model, max_sweeps=2, patience=1)
+        cfg.rename(tmp_path / f"{name}.yaml")
+    assert main(["--config", str(tmp_path / "global.yaml"), "prepare"]) == 0
     train = load_split(out / "split.npz").train
     tensor = build_positional_tensor(train, 3)
     models = {"svd": train_puresvd(train, r=1, s=0.5, regime="restored"),
@@ -560,9 +573,12 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
     src = str(Path(seqrec.cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _NO_SOLVE, str(cfg), str(tmp_path / "fresh"),
+    done = subprocess.run([sys.executable, "-c", _NO_SOLVE, str(tmp_path / "fresh"),
+                           *(str(tmp_path / f"{name}.yaml") for name in configs),
                            *(str(tmp_path / f"{kind}.npz") for kind in models)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "fresh" / "split.npz").exists()
+    for name in configs:
+        assert (tmp_path / "fresh" / name / "model.npz").exists()
+        assert (tmp_path / "fresh" / name / "report.jsonl").exists()
     assert done.stdout.splitlines()[-1] == "scipy modules:"

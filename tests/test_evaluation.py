@@ -136,6 +136,13 @@ def _model(kind, train):
         return train_mp(train)
     if kind.startswith("svd"):
         return train_puresvd(train, r=3, s=0.5, regime=kind.split("-")[1])
+    if kind.endswith("-k1"):
+        # K = 1 keeps no item in the position profile: every block row is 0
+        tensor = build_positional_tensor(train, 1)
+        if kind == "global-k1":
+            return train_gasatf(tensor, f=1.0, ranks=(2, 2, 1), s=0.5, seed=0, sweeps=2)
+        return train_lasatf(tensor, window=1, f=0.5, ranks=(2, 2, 1, 1), s=0.5, seed=0,
+                            sweeps=2, regime="restored")
     tensor = build_positional_tensor(train, 4)
     if kind == "global":
         return train_gasatf(tensor, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0, sweeps=2,
@@ -177,7 +184,8 @@ class TestBatchedWalk:
         (1, False), (BLOCK_ROWS, False), (BLOCK_ROWS + 1, False), (23, True)],
         ids=["one-event", "one-block", "block-plus-one", "cold-and-repeat-users"])
     @pytest.mark.parametrize("kind", ["mp", "svd-plain", "svd-restored", "global",
-                                      "local-plain", "local-restored"])
+                                      "local-plain", "local-restored", "global-k1",
+                                      "local-k1"])
     def test_matches_reference_walk(self, small_blocks, kind, n_test, cold, n):
         train, test = _random_split(n_test, n_test, cold)
         model = _model(kind, train)

@@ -9,6 +9,7 @@ import seqrec.linalg
 from seqrec.linalg import (
     DENSE_FALLBACK_SIZE,
     DENSE_SVD_DIM,
+    DENSE_SVD_SIZE,
     ConvergenceError,
     ImplicitMatrix,
     random_orthonormal,
@@ -82,8 +83,9 @@ class TestTruncatedSvd:
         assert np.allclose(s, s_ref[:3], atol=1e-10)
         assert _principal_angle(u, u_ref[:, :3]) < 1e-8
 
-    def test_iterative_path_matches_oracle(self):
-        # big enough to bypass the dense fallback
+    def test_iterative_path_matches_oracle(self, monkeypatch):
+        # big enough to bypass the dense fallback once size alone does not decide
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         rng = np.random.default_rng(1)
         a = rng.standard_normal((64, 50))
         u, s = truncated_svd(_implicit_from_dense(a), 3, seed=7)
@@ -98,7 +100,8 @@ class TestTruncatedSvd:
         # left basis is complete: U U^T A = A
         assert np.abs(u @ (u.T @ a) - a).max() < 1e-8
 
-    def test_always_orthonormal(self):
+    def test_always_orthonormal(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((40, 35))
         u, _ = truncated_svd(_implicit_from_dense(a), 4, seed=0)
@@ -109,7 +112,8 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(y, 5)
 
-    def test_exact_flag_matches_iterative(self):
+    def test_exact_flag_matches_iterative(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((60, 45))
         y = _implicit_from_dense(a)
@@ -117,6 +121,23 @@ class TestTruncatedSvd:
         u2, s2 = truncated_svd(y, 3, seed=0, exact=True)
         assert np.allclose(s1, s2, atol=1e-8)
         assert _principal_angle(u1, u2) < 1e-8
+
+    @pytest.mark.parametrize("limit, solver_calls", [(DENSE_SVD_SIZE, False),
+                                                     (DENSE_SVD_SIZE - 1, True)],
+                             ids=["at-size", "one-past-size"])
+    def test_dense_size_boundary(self, monkeypatch, limit, solver_calls):
+        # 300 x 300 has exactly DENSE_SVD_SIZE entries: dense at the limit,
+        # PROPACK once it holds one entry more than the limit
+        a = np.random.default_rng(5).standard_normal((300, 300))
+        assert a.size == DENSE_SVD_SIZE and min(a.shape) > DENSE_SVD_DIM
+        calls = []
+        svds = seqrec.linalg.svds
+        monkeypatch.setattr(seqrec.linalg, "svds", lambda *args, **kwargs:
+                            calls.append(kwargs["k"]) or svds(*args, **kwargs))
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", limit)
+        u, s = truncated_svd(_implicit_from_dense(a), 3, seed=0)
+        assert bool(calls) == solver_calls
+        _assert_matches_oracle(a, u, s)
 
 
 def _stress_matrix(seed, trial):
@@ -145,7 +166,12 @@ def _assert_matches_oracle(a, u, s):
 
 
 class TestPropackSolver:
-    """The iterative path on operators with both sides past DENSE_SVD_DIM."""
+    """The iterative path on operators with both sides past DENSE_SVD_DIM,
+    with DENSE_SVD_SIZE at 0 so that the small ones reach it too."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_size(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
 
     @pytest.mark.parametrize("shape", [(70, 45), (45, 70)], ids=["tall", "wide"])
     def test_same_seed_is_bitwise_identical(self, shape):

@@ -129,8 +129,10 @@ class TestPureSVD:
 
     @pytest.mark.parametrize("s", [0.0, 0.4])
     def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
-        # 60 x 50 at rank 5 is past DENSE_SVD_DIM: one PROPACK solve, then
-        # the one-vector solve on the deflated operator that finds no missed copy
+        # 60 x 50 at rank 5 is past DENSE_SVD_DIM and, with DENSE_SVD_SIZE at 0,
+        # goes to one PROPACK solve, then the one-vector solve on the deflated
+        # operator that finds no missed copy
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         dense = np.random.default_rng(3).random((60, 50)) < 0.2
         rows = [(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))]
         calls = []
@@ -259,7 +261,7 @@ def _la_operator_case(m, n, k, window, ranks, seed):
 
 class TestLongWindowOperators:
     """Windows longer than DENSE_SVD_DIM: the explicit mode-3 unfolding is wide
-    enough for the iterative solver."""
+    enough for the iterative solver once DENSE_SVD_SIZE is 0."""
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_matches_dense_oracle(self, mode):
@@ -332,7 +334,12 @@ def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, 
 
 
 class TestIterativeAgreesWithExact:
-    """PROPACK on tall and wide unfoldings against dense SVDs."""
+    """PROPACK on tall and wide unfoldings against dense SVDs, with
+    DENSE_SVD_SIZE at 0 so that these small unfoldings reach it."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_size(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
 
     def test_global_wide_mode_one(self, monkeypatch):
         tensor = random_tensor(50, 80, 12, seed=0)
@@ -745,9 +752,11 @@ class TestSerialization:
             "local-snapshot": la.snapshot(),
         }
 
-    def test_models_score_like_their_saved_copy(self, tmp_path):
+    def test_models_score_like_their_saved_copy(self, tmp_path, monkeypatch):
         # Factors are C-contiguous, as load_model returns them, so BLAS rounds
-        # the in-memory and the reloaded model's scores alike.
+        # the in-memory and the reloaded model's scores alike. DENSE_SVD_SIZE
+        # at 0 keeps "svd-iterative" on PROPACK.
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         for name, model in self._layout_models().items():
             for field_name, value in vars(model).items():
                 if isinstance(value, np.ndarray):

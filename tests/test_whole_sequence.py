@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import seqrec.linalg
 import seqrec.models
 from oracles import random_tensor
 from seqrec.attention import build_attention
@@ -19,7 +20,9 @@ from seqrec.models import (
 @pytest.mark.parametrize("shape, ranks", [((9, 8, 5), (4, 4, 3)),
                                           ((50, 80, 12), (10, 20, 5))])
 def test_global_equals_windowed_at_window_k(monkeypatch, exact_svd, regime, shape, ranks):
-    # (50, 80, 12) sends the 50 x 100 and 80 x 50 unfoldings to PROPACK
+    # (50, 80, 12) sends the 50 x 100 and 80 x 50 unfoldings to PROPACK once
+    # DENSE_SVD_SIZE is 0
+    monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
     modes = []
     operator = seqrec.models.la_mode_operator
 
