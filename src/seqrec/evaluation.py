@@ -158,7 +158,7 @@ def evaluate(model, train, test, n=10):
     return EvaluationReport(
         hr=float(np.mean(hits)), hr_se=_se(hits),
         ndcg=float(np.mean(gains)), ndcg_se=_se(gains),
-        cov=len(np.unique(top)) / model.n_items,
+        cov=np.count_nonzero(np.bincount(top.ravel(), minlength=model.n_items)) / model.n_items,
         n=n, evaluated_count=len(warm), skipped_cold_count=skipped,
     )
 

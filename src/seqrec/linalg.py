@@ -20,6 +20,12 @@ SVD_TOL = 1e-8
 # PROPACK does not restart, so its basis must hold the whole run: scipy's 10 * r
 # stops short at small r (r = 2-20 took 46-204 steps on 300-2000-row matrices).
 MIN_LANCZOS_BASIS = 300
+# Runs stop after 2.0-3.9 * r steps, while scipy allocates both bases and about
+# 2 * kmax**2 doubles of work space up front: a first run gets a basis of
+# LANCZOS_BASIS_FACTOR * r, and only a run that overflows it is redone at
+# RETRY_BASIS_FACTOR * r.
+LANCZOS_BASIS_FACTOR = 5
+RETRY_BASIS_FACTOR = 10
 DENSE_SVD_DIM = 32
 # At or below this many entries PROPACK's two bases, (rows + cols) * (min + 1)
 # doubles, outgrow the matrix itself, and materializing it takes at most
@@ -43,6 +49,8 @@ class ImplicitMatrix:
     shape: tuple
     matvec: callable
     rmatvec: callable
+    # builds the dense matrix directly, where that beats one apply per column
+    dense: callable = None
 
     def to_linear_operator(self):
         """scipy view; solvers may pass (n, 1) columns, which reach the closures 1-D."""
@@ -53,7 +61,10 @@ class ImplicitMatrix:
                               rmatvec=lambda y: self.rmatvec(np.ravel(y)))
 
     def materialize(self):
-        """Dense matrix built column-by-column (or row-by-row, whichever is smaller)."""
+        """Dense matrix from ``dense`` when set, else built column-by-column (or
+        row-by-row, whichever is smaller)."""
+        if self.dense is not None:
+            return self.dense()
         rows, cols = self.shape
         if cols <= rows:
             eye = np.eye(cols)
@@ -80,8 +91,25 @@ def svds(*args, **kwargs):
 
 
 def _propack(op, k, rng, tol=SVD_TOL):
-    u, s, _ = svds(op, k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
-                   maxiter=max(10 * k, MIN_LANCZOS_BASIS), solver="propack", rng=rng)
+    """PROPACK's top-k triplets on a LANCZOS_BASIS_FACTOR * k basis. A run that
+    raises there is redone from the same generator state on the larger
+    RETRY_BASIS_FACTOR * k basis, so the retry repeats that solve exactly."""
+
+    def run(factor):
+        return svds(op, k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
+                    maxiter=max(factor * k, MIN_LANCZOS_BASIS), solver="propack", rng=rng)
+
+    def basis(factor):  # as scipy clips it
+        return min(max(factor * k, MIN_LANCZOS_BASIS), min(op.shape) + 1)
+
+    state = rng.bit_generator.state
+    try:
+        u, s, _ = run(LANCZOS_BASIS_FACTOR)
+    except np.linalg.LinAlgError:
+        if basis(LANCZOS_BASIS_FACTOR) == basis(RETRY_BASIS_FACTOR):
+            raise
+        rng.bit_generator.state = state
+        u, s, _ = run(RETRY_BASIS_FACTOR)
     order = np.argsort(s)[::-1]
     return u[:, order], s[order]
 

@@ -188,8 +188,13 @@ class SVDModel:
         return self.v.shape[0]
 
     def score_history(self, history):
-        # the user's binary row: a repeated item counts once
-        items = np.unique(np.asarray(history, dtype=np.int64))
+        # the user's binary row: a repeated item counts once. Sorting and
+        # masking repeats gives np.unique's array without its hash path, which
+        # imports numpy.ma on numpy >= 2.
+        items = np.sort(np.asarray(history, dtype=np.int64))
+        first = np.ones(len(items), dtype=bool)
+        first[1:] = items[1:] != items[:-1]
+        items = items[first]
         return _project_scores(self, items, np.ones(len(items)))
 
 
@@ -257,7 +262,10 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     window x r4*r2*r1 (or offset x r3*r2*r1) matrix. Each matvec/rmatvec costs
     O(nnz + n*K*r + K*r3*r4*r) for modes 1/2 and one dense product for 3/4.
     Modes 3/4 reuse ``factors["cores"]``, the :func:`_position_cores` of U
-    and V, when it is set, and build the cores otherwise.
+    and V, when it is set, and build the cores otherwise. Each operator also
+    builds its dense matrix directly (``dense``): modes 1/2 from
+    per-(row, position) sums of the entries, contracted with the skew blocks
+    one position at a time, and modes 3/4 by handing over the unfolding.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -285,7 +293,25 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
                             minlength=other_dim * k).reshape(other_dim, k)
             return (flat_blocks.T @ (h.T @ other)).ravel()
 
-        return ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
+        def dense():
+            # Row i is sum_q flat_blocks[q] (x) S_q[i], where S_q[i] sums
+            # d * other[across] over row i's entries at position q; the sums
+            # are taken per (position, row) pair and added one position at a time.
+            order = np.lexsort((along, kk))
+            key = kk[order] * out_dim + along[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            sums = np.add.reduceat(other[across[order]] * dvals[order, None], starts, axis=0)
+            key = key[starts]
+            bounds = np.searchsorted(key // out_dim, np.arange(k + 1))
+            out = np.zeros((out_dim, r4 * r3, r_other))
+            for q in range(k):
+                lo, hi = bounds[q], bounds[q + 1]
+                out[key[lo:hi] % out_dim] += flat_blocks[q][:, None] * sums[lo:hi, None, :]
+            return out.reshape(out_dim, -1)
+
+        op = ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
+        op.dense = dense
+        return op
     if mode in (3, 4):
         cores = factors.get("cores")
         if cores is None:
@@ -302,7 +328,9 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
         def rmatvec(y):
             return unfolding.T @ y
 
-        return ImplicitMatrix(shape=unfolding.shape, matvec=matvec, rmatvec=rmatvec)
+        op = ImplicitMatrix(shape=unfolding.shape, matvec=matvec, rmatvec=rmatvec)
+        op.dense = lambda: unfolding
+        return op
     raise ValueError(f"mode must be 1..4, got {mode}")
 
 

@@ -536,6 +536,8 @@ def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 _NO_SOLVE = """
 import sys
+import numpy
+bare_numpy_loads_ma = "numpy.ma" in sys.modules
 from pathlib import Path
 import seqrec
 import seqrec.cli
@@ -548,13 +550,16 @@ for config in (path for path in paths if path.endswith(".yaml")):
             sys.exit(command + " failed on " + config)
 for path in (path for path in paths if path.endswith(".npz")):
     predict_next(load_model(path), [0, 1], 2)
+print("numpy.ma loaded:", bare_numpy_loads_ma, "numpy.ma" in sys.modules)
 print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_prepare_and_serving_load_no_scipy(tmp_path):
     # a fresh process: this one has SciPy loaded already. Small GA/LA operators
-    # are solved densely, so prepare, tune and final need no SciPy either.
+    # are solved densely, so prepare, tune and final need no SciPy either. Nor
+    # do they load numpy.ma, which numpy >= 2 imports on a plain np.unique call
+    # and numpy 1.x imports with numpy itself.
     grid = {"r1": [2], "r2": [2], "f": [0.5], "s": [0.2], "regime": ["plain"]}
     configs = {"global": {"kind": "global", "grid": grid},
                "local": {"kind": "local", "window_values": [2],
@@ -582,3 +587,6 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
         assert (tmp_path / "fresh" / name / "model.npz").exists()
         assert (tmp_path / "fresh" / name / "report.jsonl").exists()
     assert done.stdout.splitlines()[-1] == "scipy modules:"
+    ma_line = done.stdout.splitlines()[-2]
+    if ma_line != "numpy.ma loaded: True True":
+        assert ma_line == "numpy.ma loaded: False False"

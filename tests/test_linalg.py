@@ -5,17 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_log
+from oracles import random_tensor
 import seqrec.linalg
+from seqrec.attention import build_attention
 from seqrec.linalg import (
     DENSE_FALLBACK_SIZE,
     DENSE_SVD_DIM,
     DENSE_SVD_SIZE,
+    LANCZOS_BASIS_FACTOR,
+    MIN_LANCZOS_BASIS,
+    RETRY_BASIS_FACTOR,
     ConvergenceError,
     ImplicitMatrix,
     random_orthonormal,
     skew_block_cache,
     truncated_svd,
 )
+from seqrec.models import build_scaling, la_mode_operator, train_puresvd
+
+_SVDS = seqrec.linalg.svds
 
 
 def _implicit_from_dense(a):
@@ -286,6 +295,99 @@ class TestPropackSolver:
         monkeypatch.setattr(np.linalg, "svd", failing)
         with pytest.raises(ConvergenceError, match="did not converge"):
             truncated_svd(_implicit_from_dense(np.ones((50, 40))), 5, seed=0)
+
+
+def _puresvd_solve():
+    """PureSVD at r = 40 on a 400 x 350 binary log: its 350 x 400 operator
+    gets a 300-step basis first, where RETRY_BASIS_FACTOR * r asks for 400
+    (351 after scipy's clip)."""
+    dense = np.random.default_rng(3).random((400, 350)) < 0.05
+    log = make_log([(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))], 400, 350)
+    return lambda: (train_puresvd(log, r=40, s=0.4).v,)
+
+
+def _la_mode_one_solve():
+    """LA mode 1 at r = 40: a 400 x 360 operator (ranks 40/40/3/3, window 3)."""
+    tensor = random_tensor(400, 120, 6, seed=2)
+    att = build_attention(3, f=1.0)
+    factors = {"V": random_orthonormal(120, 40, seed=1),
+               "W_A": att.apply(random_orthonormal(3, 3, seed=3)),
+               "W_S": random_orthonormal(4, 3, seed=4),
+               "scaling": build_scaling(tensor.item_counts(), 0.2, neutral_missing=True)}
+    cache = skew_block_cache(factors["W_A"], factors["W_S"])
+    op = la_mode_operator(tensor, factors, att, cache, 1)
+    assert op.shape == (400, 360)
+    return lambda: truncated_svd(op, 40, seed=5)
+
+
+_CAP_CASES = {"puresvd": _puresvd_solve, "la-mode-1": _la_mode_one_solve}
+
+
+def _recorded(monkeypatch, solve, factor, fail=lambda k, maxiter: False):
+    """``solve()`` with the first Lanczos basis at ``factor * k``: returns its
+    result, the (k, maxiter) of each svds call and the final state of the
+    generator they all drew from. A call for which ``fail(k, maxiter)`` holds
+    raises, as a run that outgrows its basis does."""
+    monkeypatch.setattr(seqrec.linalg, "LANCZOS_BASIS_FACTOR", factor)
+    calls, rngs = [], []
+
+    def recording(op, k, **kwargs):
+        calls.append((k, kwargs["maxiter"]))
+        rngs.append(kwargs["rng"])
+        if fail(k, kwargs["maxiter"]):
+            raise np.linalg.LinAlgError(f"k={k} singular triplets did not converge")
+        return _SVDS(op, k=k, **kwargs)
+
+    monkeypatch.setattr(seqrec.linalg, "svds", recording)
+    result = solve()
+    assert all(rng is rngs[0] for rng in rngs)
+    return result, calls, rngs[0].bit_generator.state
+
+
+class TestLanczosBasisCap:
+    """The first PROPACK run gets a LANCZOS_BASIS_FACTOR * r basis, and only a
+    run that raises there is redone on RETRY_BASIS_FACTOR * r."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_size(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+
+    @pytest.mark.parametrize("case", list(_CAP_CASES))
+    def test_capped_solve_equals_the_full_basis_solve(self, monkeypatch, case):
+        solve = _CAP_CASES[case]()
+        capped, calls, state = _recorded(monkeypatch, solve, LANCZOS_BASIS_FACTOR)
+        full, full_calls, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
+        # the solve and the deflated search, each run once
+        assert calls == [(40, MIN_LANCZOS_BASIS), (1, MIN_LANCZOS_BASIS)]
+        assert full_calls == [(40, RETRY_BASIS_FACTOR * 40), (1, MIN_LANCZOS_BASIS)]
+        assert all(np.array_equal(a, b) for a, b in zip(capped, full))
+        assert state == full_state
+
+    @pytest.mark.parametrize("case", list(_CAP_CASES))
+    def test_run_that_outgrows_the_cap_is_redone_exactly(self, monkeypatch, case):
+        solve = _CAP_CASES[case]()
+        retried, calls, state = _recorded(
+            monkeypatch, solve, LANCZOS_BASIS_FACTOR,
+            fail=lambda k, maxiter: maxiter < max(RETRY_BASIS_FACTOR * k, MIN_LANCZOS_BASIS))
+        full, _, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
+        assert calls == [(40, MIN_LANCZOS_BASIS), (40, RETRY_BASIS_FACTOR * 40),
+                         (1, MIN_LANCZOS_BASIS)]
+        assert all(np.array_equal(a, b) for a, b in zip(retried, full))
+        assert state == full_state
+
+    @pytest.mark.parametrize("shape, k, maxiters", [
+        ((400, 350), 30, [300]),  # 5 k and 10 k are both at most the floor
+        ((400, 350), 31, [300, 310]),
+        ((400, 120), 40, [300]),  # scipy clips both bases to 121
+    ], ids=["k=30", "k=31", "clipped"])
+    def test_retried_only_when_the_full_basis_is_larger(self, monkeypatch, shape, k, maxiters):
+        # every run raises: the dense fallback answers after one or two runs
+        a = np.random.default_rng(9).standard_normal(shape)
+        (u, s), calls, _ = _recorded(monkeypatch, lambda: truncated_svd(
+            _implicit_from_dense(a), k, seed=0), LANCZOS_BASIS_FACTOR,
+            fail=lambda k, maxiter: True)
+        assert calls == [(k, maxiter) for maxiter in maxiters]
+        _assert_matches_oracle(a, u, s)
 
 
 class TestImplicitMatrix:

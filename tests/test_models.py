@@ -23,8 +23,8 @@ import seqrec.linalg
 import seqrec.models
 from seqrec.evaluation import _top_n
 from seqrec.attention import AttentionMatrix, build_attention
-from seqrec.data import build_positional_tensor
-from seqrec.linalg import DENSE_SVD_DIM, random_orthonormal, skew_block_cache
+from seqrec.data import SparsePositionalTensor, build_positional_tensor
+from seqrec.linalg import DENSE_SVD_DIM, ImplicitMatrix, random_orthonormal, skew_block_cache
 from seqrec.models import (
     ColdUserError,
     GlobalAttentionTrainer,
@@ -309,6 +309,44 @@ def test_column_inputs_through_linear_operator(name):
     ys = rng.standard_normal((ref.shape[0], 3))
     assert np.allclose(lin.matmat(xs), ref @ xs, atol=1e-12)
     assert np.allclose(lin.rmatmat(ys), ref.T @ ys, atol=1e-12)
+
+
+def _mode_operators(kind, k):
+    """Every GA or LA mode operator at K = k on a 30 x 25 tensor whose users
+    0, 3, 6, ... have no entries, so mode 1 has empty rows."""
+    full = random_tensor(30, 25, k, seed=k)
+    keep = full.users % 3 != 0
+    tensor = SparsePositionalTensor(users=full.users[keep], items=full.items[keep],
+                                    positions=full.positions[keep], shape=full.shape)
+    rng = np.random.default_rng(k)
+    scaling = build_scaling(tensor.item_counts(), 0.3, neutral_missing=True)
+    if kind == "ga":
+        u, v, w = _rand_factors(rng, [(30, 3), (25, 4), (k, 2)])
+        att = build_attention(k, f=0.5)
+        return {mode: ga_mode_operator(tensor, {"U": u, "V": v, "W_A": att.apply(w)},
+                                       att, scaling, mode) for mode in (1, 2, 3)}
+    window = k // 2
+    u, v, w_l, w_s = _rand_factors(rng, [(30, 3), (25, 4), (window, 2), (k - window + 1, 3)])
+    att = build_attention(window, f=0.5)
+    factors = {"U": u, "V": v, "W_A": att.apply(w_l), "W_S": w_s, "scaling": scaling}
+    cache = skew_block_cache(factors["W_A"], w_s)
+    return {mode: la_mode_operator(tensor, factors, att, cache if mode < 3 else None, mode)
+            for mode in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("k", [6, 40], ids=["direct-skew", "fft-skew"])
+@pytest.mark.parametrize("kind, mode", [("ga", 1), ("ga", 2), ("ga", 3),
+                                        ("la", 1), ("la", 2), ("la", 3), ("la", 4)])
+def test_dense_build_matches_column_loop(kind, mode, k):
+    # the operator builds its dense matrix itself, without one apply per column
+    op = _mode_operators(kind, k)[mode]
+    columns = ImplicitMatrix(shape=op.shape, matvec=op.matvec, rmatvec=op.rmatvec).materialize()
+    if mode == 1:
+        assert not columns[::3].any()
+    applies = []
+    op.matvec = op.rmatvec = applies.append
+    assert np.abs(op.materialize() - columns).max() < 1e-12
+    assert not applies
 
 
 def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, sweeps=3):
