@@ -51,9 +51,13 @@ def _is_integer(val):
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-# what each entry of a list-valued model parameter must be
-_POSITIVE = ("positive integers", lambda val: _is_integer(val) and val >= 1)
-_REAL = ("real numbers", lambda val: _is_integer(val) or isinstance(val, float))
+# what a value must be: (wording, test)
+_INTEGER = ("an integer", _is_integer)
+_NATURAL = ("an integer >= 0", lambda val: _is_integer(val) and val >= 0)
+_POSITIVE = ("an integer >= 1", lambda val: _is_integer(val) and val >= 1)
+_REAL = ("a real number", lambda val: _is_integer(val) or isinstance(val, float))
+_STRING = ("a string", lambda val: isinstance(val, str))
+_MAPPING = ("a mapping", lambda val: isinstance(val, dict))
 _REGIME = {"regime": (["plain", "restored"],
                       ("'plain' or 'restored'", lambda val: val in ("plain", "restored")), None)}
 _USER_ITEM = {"r1": (_TENSOR_RANKS, _POSITIVE, lambda m, n, k: m),
@@ -78,14 +82,29 @@ _KINDS = {
 }
 
 
-# Every key a config may set, by section ("" is the top level); any other key
-# is a misspelling, which would otherwise leave its default in force unseen.
-_KEYS = {
-    "": ("seed", "dataset", "split", "core", "K", "n", "budget", "patience", "max_sweeps",
-         "model", "output"),
-    "dataset": ("path", "delimiter", "user_col", "item_col", "time_col", "header"),
-    "split": ("t_valid", "t_test", "valid_count", "test_count"),
-    "model": ("kind", "grid", "window_values"),
+# Every key a config may set, by section ("" is the top level): key ->
+# (default, rule). Any other key is a misspelling, which would otherwise leave
+# its default in force unseen. A key with default None stays unset if omitted
+# (a section is then empty). load_config checks the columns against header.
+_SETTINGS = {
+    "": {"seed": (None, _NATURAL), "dataset": (None, _MAPPING), "split": (None, _MAPPING),
+         "core": (5, _INTEGER), "K": (50, _POSITIVE), "n": (10, _POSITIVE),
+         "budget": (200, _POSITIVE), "patience": (3, _POSITIVE),
+         "max_sweeps": (10, _POSITIVE), "model": (None, _MAPPING), "output": (".", _STRING)},
+    "dataset": {"path": (None, _STRING),
+                "delimiter": (",", ("one character",
+                                    lambda val: isinstance(val, str) and len(val) == 1)),
+                "user_col": ("user", None), "item_col": ("item", None),
+                "time_col": ("timestamp", None),
+                "header": (True, ("true or false", lambda val: isinstance(val, bool)))},
+    "split": {"t_valid": (None, _INTEGER), "t_test": (None, _INTEGER),
+              "valid_count": (None, _NATURAL), "test_count": (None, _NATURAL)},
+    "model": {"kind": ("local", (f"one of {list(_KINDS)}",
+                                 lambda val: isinstance(val, str) and val in _KINDS)),
+              "grid": (None, ("a mapping of each parameter to a list",
+                              lambda val: isinstance(val, dict)
+                              and all(isinstance(v, list) for v in val.values()))),
+              "window_values": (None, ("a list", lambda val: isinstance(val, list)))},
 }
 
 
@@ -113,7 +132,17 @@ def _lists(kind, model):
     return {names[name]: (name, values) for name, values in given.items()}
 
 
+def _is_index(val):
+    """Whether ingest_log's int() reads val as a column index (header: false)."""
+    try:
+        int(val)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def load_config(path, preset=None, overrides=None):
+    """The config at path under the preset and overrides, its defaults filled."""
     with open(path) as fh:
         try:
             config = yaml.safe_load(fh) or {}
@@ -126,62 +155,46 @@ def load_config(path, preset=None, overrides=None):
             raise ConfigError(f"unknown preset {preset!r} (choose from {sorted(PRESETS)})")
         defaults = json.loads(json.dumps(PRESETS[preset]))
         model = config.get("model")
-        if isinstance(model, dict) and model.get("kind", "local") != "local":
+        if isinstance(model, dict) and model.get("kind", _SETTINGS["model"]["kind"][0]) != "local":
             del defaults["model"]  # a preset's windows and r3/r4 lists are local's
         config = _deep_update(defaults, config)
     if overrides:
         _deep_update(config, overrides)
     if "seed" not in config:
         raise ConfigError("config must set a seed (reproducibility is mandatory)")
-    for key in ("dataset", "split", "model"):
-        if not isinstance(config.get(key, {}), dict):
-            raise ConfigError(f"{key} must be a mapping, got {config[key]!r}")
-    for section, known in _KEYS.items():
-        for key in config.get(section, {}) if section else config:
-            if key not in known:
-                name = f"{section}.{key}" if section else key
-                raise ConfigError(f"unknown config key {name!r} (known here: {', '.join(known)})")
-    split, model = config.get("split", {}), config.get("model", {})
-    integers = {key: config.get(key, 1)
-                for key in ("seed", "K", "core", "n", "budget", "patience", "max_sweeps")}
-    integers.update((f"split.{key}", split[key]) for key in
-                    ("t_valid", "t_test", "valid_count", "test_count") if key in split)
-    for key, val in integers.items():
-        if not _is_integer(val):
-            raise ConfigError(f"{key} must be an integer, got {val!r}")
-    for key in ("K", "n", "budget", "patience", "max_sweeps"):
-        if integers[key] < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {integers[key]!r}")
-    for key in ("split.valid_count", "split.test_count"):
-        if integers.get(key, 0) < 0:
-            raise ConfigError(f"{key} must be an integer >= 0, got {integers[key]!r}")
+    for section, settings in _SETTINGS.items():
+        values = config.setdefault(section, {}) if section else config
+        prefix = f"{section}." if section else ""
+        for key in values:
+            if key not in settings:
+                raise ConfigError(f"unknown config key {f'{prefix}{key}'!r} "
+                                  f"(known here: {', '.join(settings)})")
+        for key, (default, rule) in settings.items():
+            if key not in values and default is not None:
+                values[key] = default
+            elif key in values and rule and not rule[1](values[key]):
+                raise ConfigError(f"{prefix}{key} must be {rule[0]}, got {values[key]!r}")
+    dataset, split, model = config["dataset"], config["split"], config["model"]
+    header = dataset["header"]
+    for key in ("user_col", "item_col", "time_col"):
+        if not (isinstance(dataset[key], str) if header else _is_index(dataset[key])):
+            wanted = "a column name" if header else "a 0-based column index"
+            raise ConfigError(f"dataset.{key} must be {wanted} under header: "
+                              f"{str(header).lower()}, got {dataset[key]!r}")
     if split:
         _split_pair(split)
     if "t_valid" in split and "t_test" in split and split["t_valid"] >= split["t_test"]:
         raise ConfigError(f"split.t_valid must be below split.t_test, got "
                           f"{split['t_valid']} and {split['t_test']}")
-    kind = model.get("kind", "local")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ConfigError(f"unknown model kind {kind!r} (choose from {list(_KINDS)})")
-    grid = model.get("grid", {})
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise ConfigError(f"model.grid must map each parameter to a list, got {grid!r}")
-    if not isinstance(model.get("window_values", []), list):
-        raise ConfigError(f"model.window_values must be a list, got {model['window_values']!r}")
+    kind = model["kind"]
     for param, (name, values) in _lists(kind, model).items():
         _, (wanted, valid), _ = _KINDS[kind][param]
         if not values:
             raise ConfigError(f"model.{name} must list at least one value")
         bad = [val for val in values if not valid(val)]
         if bad:
-            raise ConfigError(f"model.{name} entries must be {wanted}, got {bad[0]!r}")
+            raise ConfigError(f"each model.{name} entry must be {wanted}, got {bad[0]!r}")
     return config
-
-
-def _out_dir(config, args):
-    out = Path(args.output or config.get("output", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _split_pair(split_cfg):
@@ -201,27 +214,20 @@ def _resolve_boundaries(log, split_cfg):
     return dp.boundary_for_count(head, split_cfg["valid_count"]), t_test
 
 
-def cmd_prepare(config, args):
-    ds = config.get("dataset")
-    if not ds or "path" not in ds:
+def cmd_prepare(config):
+    options = dict(config["dataset"])
+    if "path" not in options:
         raise ConfigError("config must set dataset.path")
-    path = Path(ds["path"])
+    path = Path(options.pop("path"))
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    _split_pair(config.get("split", {}))  # a config error, so before any reading
-    log = dp.ingest_log(
-        path,
-        delimiter=ds.get("delimiter", ","),
-        user_col=ds.get("user_col", "user"),
-        item_col=ds.get("item_col", "item"),
-        time_col=ds.get("time_col", "timestamp"),
-        header=ds.get("header", True),
-    )
-    core = config.get("core", 5)
-    if core > 1:
-        log = dp.core_filter(log, core)
-    split = dp.timepoint_split(log, *_resolve_boundaries(log, config.get("split", {})))
-    out = _out_dir(config, args)
+    _split_pair(config["split"])  # a config error, so before any reading
+    log = dp.ingest_log(path, **options)
+    if config["core"] > 1:
+        log = dp.core_filter(log, config["core"])
+    split = dp.timepoint_split(log, *_resolve_boundaries(log, config["split"]))
+    out = Path(config["output"])
+    out.mkdir(parents=True, exist_ok=True)
     dp.save_split(split, out / "split.npz")
 
     lengths = np.bincount(log.users, minlength=log.n_users)
@@ -243,7 +249,7 @@ def cmd_prepare(config, args):
 
 
 def _grid_space(kind, config, m, n_items, k):
-    given = _lists(kind, config.get("model", {}))
+    given = _lists(kind, config["model"])
     values = {}
     for param, (default, _, cap) in _KINDS[kind].items():
         values[param] = given[param][1] if param in given else default
@@ -255,10 +261,11 @@ def _grid_space(kind, config, m, n_items, k):
         lambda p: p["r4"] < p["window"],
         lambda p: p["r4"] <= k - p["window"] + 1,
     ) if "window" in values else ()
-    return GridSpace(values=values, constraints=constraints, budget=config.get("budget", 200))
+    return GridSpace(values=values, constraints=constraints, budget=config["budget"])
 
 
-def _factory(kind, train_log, tensor, seed, config):
+def _factory(kind, train_log, seed, k):
+    tensor = dp.build_positional_tensor(train_log, k) if kind in ("global", "local") else None
     # The regime only changes how an SVD model scores, and the grid enumerates
     # it last, so points sharing (rank, s) are adjacent: a one-entry cache
     # trains each factorization once.
@@ -288,23 +295,18 @@ def _factory(kind, train_log, tensor, seed, config):
     return build
 
 
-def cmd_tune(config, args):
-    out = _out_dir(config, args)
+def cmd_tune(config):
+    out = Path(config["output"])
     split_path = out / "split.npz"
     if not split_path.exists():
         raise FileNotFoundError(f"prepared split not found: {split_path} (run prepare first)")
     split = dp.load_split(split_path)
-    kind = config.get("model", {}).get("kind", "local")
-    seed = config["seed"]
-    n = config.get("n", 10)
-    k = config.get("K", 50)
-    tensor = dp.build_positional_tensor(split.train, k) if kind in ("global", "local") else None
+    kind, seed, k = config["model"]["kind"], config["seed"], config["K"]
     space = _grid_space(kind, config, split.train.n_users, split.train.n_items, k)
     best, log = grid_search(
-        space, _factory(kind, split.train, tensor, seed, config),
-        split.train, split.validation, n=n, seed=seed,
-        patience=config.get("patience", 3),
-        max_sweeps=config.get("max_sweeps", 10),
+        space, _factory(kind, split.train, seed, k),
+        split.train, split.validation, n=config["n"], seed=seed,
+        patience=config["patience"], max_sweeps=config["max_sweeps"],
     )
     with open(out / "grid_log.jsonl", "w") as fh:
         for point in log:
@@ -316,8 +318,8 @@ def cmd_tune(config, args):
     return winner
 
 
-def cmd_final(config, args):
-    out = _out_dir(config, args)
+def cmd_final(config):
+    out = Path(config["output"])
     split_path = out / "split.npz"
     best_path = out / "best.json"
     for path in (split_path, best_path):
@@ -325,24 +327,19 @@ def cmd_final(config, args):
             raise FileNotFoundError(f"missing artifact: {path}")
     split = dp.load_split(split_path)
     tuned = json.loads(best_path.read_text())
-    kind = tuned["kind"]
-    point = tuned["config"]
-    seed = config["seed"]
-    n = config.get("n", 10)
-    k = config.get("K", 50)
+    kind, point = tuned["kind"], tuned["config"]
     sweeps = max(1, int(tuned.get("sweep_count", 1)))
 
     merged = split.train.replace_events(*(
         np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
         for name in ("users", "items", "timestamps")))
-    tensor = dp.build_positional_tensor(merged, k) if kind in ("global", "local") else None
-    model = _factory(kind, merged, tensor, seed, config)(point)
+    model = _factory(kind, merged, config["seed"], config["K"])(point)
     if hasattr(model, "sweep"):
         for _ in range(sweeps):
             model.sweep()
         model = model.snapshot()
     save_model(model, out / "model.npz")
-    report = evaluate(model, merged, split.test, n=n)
+    report = evaluate(model, merged, split.test, n=config["n"])
     record = {"split": "test", "kind": kind, "config": point,
               "sweep_count": sweeps, **report.as_dict()}
     with open(out / "report.jsonl", "a") as fh:
@@ -351,8 +348,8 @@ def cmd_final(config, args):
     return report
 
 
-def cmd_report(config, args):
-    out = _out_dir(config, args)
+def cmd_report(config):
+    out = Path(config["output"])
     shown = 0
     for name in ("grid_log.jsonl", "report.jsonl"):
         path = out / name
@@ -381,16 +378,18 @@ COMMANDS = {"prepare": cmd_prepare, "tune": cmd_tune, "final": cmd_final, "repor
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        overrides = {"seed": args.seed} if args.seed is not None else None
+        overrides = {"seed": args.seed} if args.seed is not None else {}
+        if args.output:
+            overrides["output"] = args.output
         config = load_config(args.config, preset=args.preset, overrides=overrides)
-        COMMANDS[args.command](config, args)
+        COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 3
-    except (dp.DataError, ValueError, ConvergenceError, MemoryError) as exc:
+    except (ValueError, ConvergenceError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

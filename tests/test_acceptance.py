@@ -261,10 +261,13 @@ class TestCriterion8MovieLensOrdering:
         import yaml
         from seqrec.cli import main
 
+        # ratings.dat separates fields by "::"; the csv reader takes one character
+        ratings = tmp_path / "ratings.csv"
+        with open(os.environ["SEQREC_ML1M"]) as src, open(ratings, "w") as dst:
+            dst.writelines(line.replace("::", ",") for line in src)
         base = {
             "seed": 0, "core": 5, "K": 200, "n": 10,
-            "dataset": {"path": os.environ["SEQREC_ML1M"],
-                        "delimiter": "::", "header": False,
+            "dataset": {"path": str(ratings), "header": False,
                         "user_col": 0, "item_col": 1, "time_col": 3},
             "split": {"valid_count": 32000, "test_count": 32000},
             "budget": 20, "max_sweeps": 6, "patience": 2,

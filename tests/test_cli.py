@@ -1,6 +1,7 @@
 """Command-line front-end: prepare/tune/final/report, exit codes, determinism."""
 
 import gzip
+import inspect
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
 from seqrec.cli import PRESETS, load_config, main
-from seqrec.data import build_positional_tensor, load_split
+from seqrec.data import build_positional_tensor, ingest_log, load_split
 from seqrec.evaluation import evaluate
 from seqrec.linalg import ConvergenceError
 from seqrec.models import load_model, save_model, train_gasatf, train_lasatf, train_puresvd
@@ -155,6 +156,29 @@ class TestPrepare:
         assert (stats["t_valid"], stats["t_test"]) == (2, 3)
         assert stats["sizes"] == {"train": 6, "validation": 3, "test": 1}
 
+    def test_seed_only_config_loads_the_defaults(self, tmp_path):
+        cfg = tmp_path / "config.yaml"
+        _write_config(cfg, seed=0)
+        config = load_config(cfg)
+        ingest = inspect.signature(ingest_log).parameters
+        assert config == {
+            "seed": 0, "K": 50, "n": 10, "core": 5, "budget": 200, "patience": 3,
+            "max_sweeps": 10, "output": ".", "split": {}, "model": {"kind": "local"},
+            "dataset": {key: ingest[key].default for key in
+                        ("delimiter", "user_col", "item_col", "time_col", "header")}}
+        assert config["dataset"] == {"delimiter": ",", "user_col": "user", "item_col": "item",
+                                     "time_col": "timestamp", "header": True}
+
+    @pytest.mark.parametrize("dataset", [
+        {"header": False, "user_col": 0, "item_col": "1", "time_col": 2.0},
+        {"header": False, "user_col": " 2", "item_col": True, "time_col": -1},
+        {"header": True, "user_col": "a", "item_col": "b", "time_col": "c", "delimiter": ";"},
+    ], ids=repr)
+    def test_column_forms_ingest_reads_are_accepted(self, tmp_path, dataset):
+        cfg = tmp_path / "config.yaml"
+        _write_config(cfg, seed=0, dataset=dataset)
+        assert load_config(cfg)["dataset"] == {"delimiter": ",", **dataset}
+
     def test_unknown_preset_exit_2(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0)
@@ -233,7 +257,7 @@ class TestTune:
         shared = _tune_outputs(out)
 
         # reference: every grid point trains its own factorization
-        def per_point(kind, train_log, tensor, seed, config):
+        def per_point(kind, train_log, seed, k):
             return lambda p: train_puresvd(train_log, r=p["rank"], s=p["s"],
                                            regime=p["regime"], seed=seed)
 
@@ -260,10 +284,18 @@ class TestTune:
         {"split": {"t_valid": 2}}, {"split": {"t_valid": 2, "test_count": 1}},
         {"split": {"valid_count": -1, "test_count": 1}},
         {"split": {"valid_count": 1, "test_count": -1}},
+        {"dataset": {"path": 5}}, {"dataset": {"delimiter": 5}},
+        {"dataset": {"delimiter": ";;"}}, {"dataset": {"header": "no"}},
+        {"dataset": {"header": False}}, {"dataset": {"header": False, "user_col": "user",
+                                                     "item_col": 1, "time_col": 2}},
+        {"output": 5}, {"seed": -1},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
     def test_bad_value_exit_2_before_work(self, tmp_path, monkeypatch, capsys, extra):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
+        if isinstance(extra.get("dataset"), dict):  # the toy csv unless the case names one
+            dataset = {"path": str(tmp_path / "events.csv"), **extra["dataset"]}
+            extra = {**extra, "dataset": dataset}
         cfg, _ = _toy_config(tmp_path, **{"model": SVD_GRID, **extra})
         monkeypatch.setattr(seqrec.cli, "grid_search", None)  # no grid point may train
         capsys.readouterr()
@@ -312,8 +344,9 @@ class TestTune:
         assert json.loads((out / "best.json").read_text())["kind"] == kind
 
     def test_without_prepare_exit_3(self, tmp_path):
-        cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
+        cfg, out = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "tune"]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [
         ConvergenceError("truncated SVD failed to converge"),
@@ -441,10 +474,14 @@ class TestFinalAndReport:
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
         assert main(["--config", str(cfg), "final"]) == 3
+        fresh = tmp_path / "fresh" / "x"
+        assert main(["--config", str(cfg), "--output", str(fresh), "final"]) == 3
+        assert not fresh.parent.exists()
 
     def test_report_without_artifacts_exit_3(self, tmp_path):
-        cfg, _ = _toy_config(tmp_path)
+        cfg, out = _toy_config(tmp_path)
         assert main(["--config", str(cfg), "report"]) == 3
+        assert not out.exists()
 
 
 def _markov_rows():
