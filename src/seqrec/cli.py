@@ -132,15 +132,6 @@ def _lists(kind, model):
     return {names[name]: (name, values) for name, values in given.items()}
 
 
-def _is_index(val):
-    """Whether ingest_log's int() reads val as a column index (header: false)."""
-    try:
-        int(val)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
-
-
 def load_config(path, preset=None, overrides=None):
     """The config at path under the preset and overrides, its defaults filled."""
     with open(path) as fh:
@@ -177,8 +168,8 @@ def load_config(path, preset=None, overrides=None):
     dataset, split, model = config["dataset"], config["split"], config["model"]
     header = dataset["header"]
     for key in ("user_col", "item_col", "time_col"):
-        if not (isinstance(dataset[key], str) if header else _is_index(dataset[key])):
-            wanted = "a column name" if header else "a 0-based column index"
+        if not (isinstance(dataset[key], str) if header else _NATURAL[1](dataset[key])):
+            wanted = "a column name" if header else "a 0-based column index (an integer >= 0)"
             raise ConfigError(f"dataset.{key} must be {wanted} under header: "
                               f"{str(header).lower()}, got {dataset[key]!r}")
     if split:

@@ -7,6 +7,7 @@ import csv
 import gzip
 import io
 import json
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -176,7 +177,7 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
             except ValueError as exc:
                 raise ParseError(f"missing column in header: {exc}") from None
         else:
-            u_idx, i_idx, t_idx = int(user_col), int(item_col), int(time_col)
+            u_idx, i_idx, t_idx = user_col, item_col, time_col
         needed = max(u_idx, i_idx, t_idx) + 1
         # a one-field row may be a whitespace-only line even when one field is enough
         short = max(needed, 2)
@@ -248,13 +249,18 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
     Rating columns, if present, are ignored: the signal is implicit/binary.
     Duplicate (user, item) pairs collapse to the earliest-timestamp occurrence.
     Column arguments are names when ``header`` is true, 0-based indices
-    otherwise. ``source`` may be a path or a binary stream; gzip is detected,
-    and a truncated or corrupt gzip stream raises :class:`ParseError`. Of
-    several bad lines, the earliest is reported.
+    otherwise; an index that is not an integer >= 0 raises :class:`ParseError`.
+    ``source`` may be a path or a binary stream; gzip is detected, and a
+    truncated or corrupt gzip stream raises :class:`ParseError`. Of several
+    bad lines, the earliest is reported.
 
     Each row is read once; checks, indexing and deduplication then run on
     whole columns.
     """
+    if not header:
+        for col in (user_col, item_col, time_col):
+            if isinstance(col, bool) or not isinstance(col, numbers.Integral) or col < 0:
+                raise ParseError(f"column index must be an integer >= 0, got {col!r}")
     with _open_source(source) as text:
         (raw_users, raw_items, raw_times), first_line, blanks, fault = _read_columns(
             text, delimiter, user_col, item_col, time_col, header)

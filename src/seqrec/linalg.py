@@ -44,13 +44,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ImplicitMatrix:
-    """A linear operator given by matvec/rmatvec closures over dense vectors."""
+    """A linear operator given by matvec/rmatvec closures over dense vectors.
+
+    ``dense`` and ``gram`` are optional, set after construction. The HOOI
+    trainer's mode operators set ``gram`` (see ``la_mode_operator``), so that
+    ``truncated_svd`` solves them by an eigensolve of a Gram matrix instead
+    of an SVD; other operators, PureSVD's among them, leave it unset.
+    """
 
     shape: tuple
     matvec: callable
     rmatvec: callable
     # builds the dense matrix directly, where that beats one apply per column
     dense: callable = None
+    # builds a Gram matrix for truncated_svd's eigensolve, as (G, A):
+    # G = A A^T with A None, or G = A^T A with A the dense matrix
+    gram: callable = None
 
     def to_linear_operator(self):
         """scipy view; solvers may pass (n, 1) columns, which reach the closures 1-D."""
@@ -59,6 +68,13 @@ class ImplicitMatrix:
         return LinearOperator(shape=self.shape, dtype=float,
                               matvec=lambda x: self.matvec(np.ravel(x)),
                               rmatvec=lambda y: self.rmatvec(np.ravel(y)))
+
+    @property
+    def small(self):
+        """Whether a dense solve beats PROPACK: a side of at most DENSE_SVD_DIM
+        or at most DENSE_SVD_SIZE entries."""
+        rows, cols = self.shape
+        return min(rows, cols) <= DENSE_SVD_DIM or rows * cols <= DENSE_SVD_SIZE
 
     def materialize(self):
         """Dense matrix from ``dense`` when set, else built column-by-column (or
@@ -151,19 +167,39 @@ def _checked_propack(op, r, rng):
     return u, s
 
 
+def _gram_pairs(g, a, r):
+    """Leading r left singular pairs from the eigensolve of a Gram matrix:
+    directly for g = A A^T (``a`` None), and through U = qr(A Q_r) for
+    g = A^T A, whose top eigenvectors Q_r are the right singular vectors."""
+    try:
+        lam, q = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+    lam, q = lam[::-1][:r], q[:, ::-1][:, :r]
+    if a is not None:
+        q, _ = np.linalg.qr(a @ q)
+    return q, np.sqrt(np.maximum(lam, 0.0))
+
+
 def truncated_svd(y, r, seed=0, exact=False):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values, from PROPACK seeded by ``seed``. Operators with a side of
-    at most DENSE_SVD_DIM or at most DENSE_SVD_SIZE entries, ``exact``, and
-    PROPACK failures at r >= min - 1 (a breakdown at the operator's rank)
-    or on at most DENSE_FALLBACK_SIZE entries use a dense SVD.
+    singular values. Unless ``exact``, an operator that carries a ``gram`` is
+    solved by a symmetric eigensolve of it, with s = sqrt(max(lambda, 0)):
+    squaring halves the digits, so singular values below about
+    sqrt(eps) * s[0] are noise, and past the operator's rank U holds some
+    orthonormal completion. Otherwise the solve is PROPACK's, seeded by
+    ``seed``. ``small`` operators, ``exact``, and PROPACK failures at
+    r >= min - 1 (a breakdown at the operator's rank) or on at most
+    DENSE_FALLBACK_SIZE entries use a dense SVD.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
-    if not exact and min(rows, cols) > DENSE_SVD_DIM and rows * cols > DENSE_SVD_SIZE:
+    if not exact and y.gram is not None:
+        return _gram_pairs(*y.gram(), r)
+    if not exact and not y.small:
         try:
             return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed))
         except np.linalg.LinAlgError as exc:

@@ -257,15 +257,23 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     The two window dimensions are virtual: every COO entry addresses the single
     non-zero skew diagonal of its one-hot Hankel slice, so no Hankel matrix is
     ever materialized. Modes 1/2 contract the skew blocks with the input once
-    per position and then touch each entry once (scatter or gather). Modes 3/4
-    reduce the entries to per-position cores once and keep the explicit
-    window x r4*r2*r1 (or offset x r3*r2*r1) matrix. Each matvec/rmatvec costs
-    O(nnz + n*K*r + K*r3*r4*r) for modes 1/2 and one dense product for 3/4.
-    Modes 3/4 reuse ``factors["cores"]``, the :func:`_position_cores` of U
-    and V, when it is set, and build the cores otherwise. Each operator also
-    builds its dense matrix directly (``dense``): modes 1/2 from
+    per position and then touch each entry once (scatter or gather):
+    O(nnz + n*K*r + K*r3*r4*r) per matvec/rmatvec. Modes 3/4 reduce the
+    entries to per-position cores C once (K x r2*r1, flattened) and apply
+    through them, O(K*(window or offsets)*r + K*r2*r1*r) per call. They reuse
+    ``factors["cores"]``, the :func:`_position_cores` of U and V, when it is
+    set, and build the cores otherwise.
+
+    Each operator builds its dense matrix directly (``dense``): modes 1/2 from
     per-(row, position) sums of the entries, contracted with the skew blocks
-    one position at a time, and modes 3/4 by handing over the unfolding.
+    of r4*r3 positions per product, and modes 3/4 as the window x r4*r2*r1
+    (offset x r3*r2*r1) unfolding, which only ``exact_svd`` and
+    ``materialize`` build.
+    Each also carries the Gram ``truncated_svd`` solves by eigensolve
+    (``gram``): modes 1/2 that are ``small`` that of their dense matrix's
+    short side, while larger ones keep PROPACK; modes 3/4 at any size the
+    window x window (offset x offset) ``sum_a S_a^T (C C^T) S_a`` over the
+    shift stack, with ``A^T (.) A`` on mode 3.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -295,41 +303,69 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
 
         def dense():
             # Row i is sum_q flat_blocks[q] (x) S_q[i], where S_q[i] sums
-            # d * other[across] over row i's entries at position q; the sums
-            # are taken per (position, row) pair and added one position at a time.
+            # d * other[across] over row i's entries at position q. The sums
+            # are taken per (position, row) pair; a run of r4*r3 positions,
+            # whose S is no larger than the output, is one product.
             order = np.lexsort((along, kk))
             key = kk[order] * out_dim + along[order]
             starts = np.flatnonzero(np.diff(key, prepend=-1))
             sums = np.add.reduceat(other[across[order]] * dvals[order, None], starts, axis=0)
             key = key[starts]
-            bounds = np.searchsorted(key // out_dim, np.arange(k + 1))
-            out = np.zeros((out_dim, r4 * r3, r_other))
-            for q in range(k):
-                lo, hi = bounds[q], bounds[q + 1]
-                out[key[lo:hi] % out_dim] += flat_blocks[q][:, None] * sums[lo:hi, None, :]
-            return out.reshape(out_dim, -1)
+            step = r4 * r3
+            out = np.zeros((step, out_dim * r_other))
+            for lo in range(0, k, step):
+                hi = min(lo + step, k)
+                first, last = np.searchsorted(key, (lo * out_dim, hi * out_dim))
+                s_run = np.zeros(((hi - lo) * out_dim, r_other))
+                s_run[key[first:last] - lo * out_dim] = sums[first:last]
+                out += flat_blocks[lo:hi].T @ s_run.reshape(hi - lo, -1)
+            return out.reshape(step, out_dim, r_other).transpose(1, 0, 2).reshape(out_dim, -1)
+
+        def gram():
+            a = dense()
+            return (a @ a.T, None) if out_dim <= a.shape[1] else (a.T @ a, a)
 
         op = ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
         op.dense = dense
+        if op.small:  # larger operators keep PROPACK
+            op.gram = gram
         return op
     if mode in (3, 4):
         cores = factors.get("cores")
         if cores is None:
             cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
+        flat = cores.reshape(k, -1)
+        # shift[:, :, a] is S_a: the unfolding is [S_0^T C, S_1^T C, ...] over
+        # the flattened cores C (times A^T on mode 3)
         shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
-        out_dim = shift.shape[1]
-        unfolding = np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
-        if mode == 3:
-            unfolding = attention.apply_transpose(unfolding)
+        out_dim, r_shift = shift.shape[1:]
 
         def matvec(z):
-            return unfolding @ z
+            y = np.einsum("qja,qa->j", shift, flat @ np.reshape(z, (r_shift, -1)).T)
+            return attention.apply_transpose(y) if mode == 3 else y
 
         def rmatvec(y):
-            return unfolding.T @ y
+            if mode == 3:
+                y = attention.apply(y)
+            return (np.einsum("qja,j->qa", shift, y).T @ flat).ravel()
 
-        op = ImplicitMatrix(shape=unfolding.shape, matvec=matvec, rmatvec=rmatvec)
-        op.dense = lambda: unfolding
+        def dense():
+            y = np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
+            return attention.apply_transpose(y) if mode == 3 else y
+
+        def gram():
+            # sum_a S_a^T (C C^T) S_a, then A^T (.) A on mode 3
+            g = np.tensordot(shift, np.tensordot(flat @ flat.T, shift, axes=([1], [0])),
+                             axes=([0, 2], [0, 2]))
+            if mode == 3:
+                a = attention.dense()
+                g = a.T @ g @ a
+            return g, None
+
+        op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
+                            rmatvec=rmatvec)
+        op.dense = dense
+        op.gram = gram
         return op
     raise ValueError(f"mode must be 1..4, got {mode}")
 

@@ -170,8 +170,7 @@ class TestPrepare:
                                      "time_col": "timestamp", "header": True}
 
     @pytest.mark.parametrize("dataset", [
-        {"header": False, "user_col": 0, "item_col": "1", "time_col": 2.0},
-        {"header": False, "user_col": " 2", "item_col": True, "time_col": -1},
+        {"header": False, "user_col": 0, "item_col": 1, "time_col": 2},
         {"header": True, "user_col": "a", "item_col": "b", "time_col": "c", "delimiter": ";"},
     ], ids=repr)
     def test_column_forms_ingest_reads_are_accepted(self, tmp_path, dataset):
@@ -288,6 +287,10 @@ class TestTune:
         {"dataset": {"delimiter": ";;"}}, {"dataset": {"header": "no"}},
         {"dataset": {"header": False}}, {"dataset": {"header": False, "user_col": "user",
                                                      "item_col": 1, "time_col": 2}},
+        {"dataset": {"header": False, "user_col": -5, "item_col": 1, "time_col": 2}},
+        {"dataset": {"header": False, "user_col": 1.5, "item_col": 0, "time_col": 2}},
+        {"dataset": {"header": False, "user_col": 0, "item_col": "1", "time_col": 2}},
+        {"dataset": {"header": False, "user_col": 0, "item_col": True, "time_col": 2}},
         {"output": 5}, {"seed": -1},
     ], ids=lambda extra: "-".join(f"{k}={v!r}" for k, v in extra.items()))
     def test_bad_value_exit_2_before_work(self, tmp_path, monkeypatch, capsys, extra):
@@ -379,6 +382,23 @@ class TestTune:
         err = capsys.readouterr().err
         assert err == "error: truncated SVD failed to converge: SVD did not converge\n"
 
+
+    def test_gram_eigensolve_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        # a local model's mode updates are Gram eigensolves, not dense SVDs
+        model = {"kind": "local", "window_values": [2],
+                 "grid": {"r1": [2], "r2": [2], "r3": [1], "r4": [1], "f": [0.5],
+                          "s": [0.2], "regime": ["plain"]}}
+        cfg, _ = _toy_config(tmp_path, model=model)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tune"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: truncated SVD failed to converge: Eigenvalues did not converge\n"
 
     def test_propack_failure_on_large_operator_exit_1(self, tmp_path, monkeypatch, capsys):
         # no dense fallback past DENSE_FALLBACK_SIZE: the toy operators stand in

@@ -79,6 +79,18 @@ class TestIngest:
         # sorted by (user, timestamp)
         assert list(log.timestamps) == [2, 4]
 
+    @pytest.mark.parametrize("user_col", [-5, 1.5, "0", True], ids=repr)
+    def test_headerless_bad_column_index_is_parse_error(self, user_col):
+        # -5 used to slip past the short-row check and 1.5 to read column 1
+        with pytest.raises(ParseError, match=f"integer >= 0, got {user_col!r}"):
+            ingest_log(_stream("u1,i1,4\n"), user_col=user_col, item_col=1, time_col=2,
+                       header=False)
+
+    def test_headerless_numpy_integer_index(self):
+        log = ingest_log(_stream("u1,i1,4\n"), user_col=np.int64(0), item_col=1,
+                         time_col=2, header=False)
+        assert list(log.timestamps) == [4]
+
     def test_gzip_detected(self):
         payload = gzip.compress(b"user,item,timestamp\nu,i,1\nu,j,2\n")
         log = ingest_log(io.BytesIO(payload))

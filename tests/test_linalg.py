@@ -390,6 +390,58 @@ class TestLanczosBasisCap:
         _assert_matches_oracle(a, u, s)
 
 
+def _with_gram(a):
+    """Implicit view of ``a`` carrying its short side's Gram, as the HOOI
+    mode operators do."""
+    y = _implicit_from_dense(a)
+    y.gram = lambda: (a @ a.T, None) if a.shape[0] <= a.shape[1] else (a.T @ a, a)
+    return y
+
+
+class TestGramSolve:
+    """Operators that carry a Gram are solved by its eigensolve, not an SVD."""
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
+    def test_matches_dense_svd(self, monkeypatch, shape):
+        a = np.random.default_rng(2).standard_normal(shape)
+        u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+        monkeypatch.setattr(np.linalg, "svd", None)  # the Gram path takes no SVD
+        u, s = truncated_svd(_with_gram(a), 5)
+        assert np.allclose(s, s_ref[:5], rtol=1e-12)
+        assert _principal_angle(u, u_ref[:, :5]) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
+    def test_rank_past_the_matrix_rank_stays_orthonormal(self, shape):
+        a = _low_rank(*shape, rank=3, seed=4)
+        u, s = truncated_svd(_with_gram(a), 8)
+        assert np.isfinite(u).all() and np.isfinite(s).all()
+        assert np.abs(u.T @ u - np.eye(8)).max() < 1e-12
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(s[:3], s_ref[:3], rtol=1e-10)
+        # what lies past the rank is rounding noise, about sqrt(eps) * s[0] at most
+        assert (s[3:] <= 1e-7 * s[0]).all()
+        assert _principal_angle(u[:, :3], np.linalg.svd(a)[0][:, :3]) < 1e-8
+
+    def test_exact_ignores_the_gram(self):
+        a = np.random.default_rng(3).standard_normal((6, 9))
+        y = _with_gram(a)
+
+        def refuse():
+            raise AssertionError("Gram taken under exact")
+
+        y.gram = refuse
+        u, s = truncated_svd(y, 2, exact=True)
+        assert np.allclose(s, np.linalg.svd(a, compute_uv=False)[:2], rtol=1e-12)
+
+    def test_eigensolve_failure_is_a_convergence_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="Eigenvalues did not converge"):
+            truncated_svd(_with_gram(np.eye(4)), 2)
+
+
 class TestImplicitMatrix:
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)

@@ -369,6 +369,7 @@ def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, 
     for name in factor_names:
         a, b = getattr(iterative, name), getattr(exact, name)
         assert np.abs(a @ a.T - b @ b.T).max() < 1e-6
+    return shapes
 
 
 class TestIterativeAgreesWithExact:
@@ -392,11 +393,115 @@ class TestIterativeAgreesWithExact:
             exact_svd=exact), [(50, 100), (80, 50)], ("u", "v", "w_l", "w_s"))
 
     def test_local_long_window_mode_three(self, monkeypatch):
-        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding goes to PROPACK
+        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding is past the
+        # dense limits, yet mode 3 takes its window x window Gram, not PROPACK
         tensor = random_tensor(30, 40, 40, seed=1, min_len=5)
-        _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
+        shapes = _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
             tensor, 34, build_attention(34, f=1.0), (4, 4, 2, 3), seed=0,
-            exact_svd=exact), [(34, 3 * 4 * 4)], ("u", "v", "w_l", "w_s"))
+            exact_svd=exact), [], ("u", "v", "w_l", "w_s"))
+        assert (34, 3 * 4 * 4) not in shapes
+
+
+def _no_svd_sweeps(monkeypatch, trainer, sweeps):
+    """Run ``sweeps`` sweeps of ``trainer`` with every SVD routine refused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran where a Gram eigensolve should")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", refuse)
+        patch.setattr(seqrec.linalg, "svds", refuse)
+        for _ in range(sweeps):
+            trainer.sweep()
+    return trainer
+
+
+class TestGramAgreesWithExact:
+    """Without exact_svd every mode update of the small trainers below is a
+    Gram eigensolve: the short side's Gram for modes 1/2 (tall or wide), the
+    window x window and offset x offset Gram from the position cores for
+    modes 3/4. It agrees with the dense SVDs of exact_svd."""
+
+    @pytest.mark.parametrize("kind, shape, ranks", [
+        # tall: 60 x 20 and 40 x 24 (LA), 60 x 15 and 40 x 18 (GA) modes 1/2
+        ("local", (60, 40, 8), (6, 5, 2, 2)),
+        ("global", (60, 40, 6), (6, 5, 3)),
+        # wide: 12 x 36 and 10 x 36 (LA), 12 x 15 and 10 x 15 (GA)
+        ("local", (12, 10, 8), (4, 4, 3, 3)),
+        ("global", (12, 10, 6), (5, 5, 3)),
+    ], ids=["local-tall", "global-tall", "local-wide", "global-wide"])
+    def test_matches_exact(self, monkeypatch, kind, shape, ranks):
+        tensor = random_tensor(*shape, seed=sum(shape), min_len=2)
+        k = shape[2]
+
+        def make(exact):
+            if kind == "local":
+                return LocalAttentionTrainer(tensor, 4, build_attention(4, f=1.0), ranks,
+                                             s=0.4, seed=1, exact_svd=exact)
+            return GlobalAttentionTrainer(tensor, build_attention(k, f=1.0), ranks,
+                                          s=0.4, seed=1, exact_svd=exact)
+
+        gram = _no_svd_sweeps(monkeypatch, make(False), 3)
+        exact = make(True)
+        for _ in range(3):
+            exact.sweep()
+        assert np.allclose(gram.fit_history, exact.fit_history, rtol=1e-8, atol=0)
+        for name in ("u", "v", "w_l", "w_s"):
+            a, b = getattr(gram, name), getattr(exact, name)
+            assert np.abs(a @ a.T - b @ b.T).max() < 1e-8
+
+    def test_rank_past_the_unfolding_rank(self, monkeypatch):
+        # four identical users: the 4 x 12 user unfolding has rank 1 < r1 = 3
+        rows = [(u, j, j) for u in range(4) for j in range(3)]
+        tensor = build_positional_tensor(make_log(rows, 4, 3), 3)
+        trainer = LocalAttentionTrainer(tensor, 2, build_attention(2, f=0.5), (3, 3, 2, 2),
+                                        seed=0)
+        _no_svd_sweeps(monkeypatch, trainer, 3)
+        for name in ("u", "v", "w_l", "w_s"):
+            factor = getattr(trainer, name)
+            assert np.isfinite(factor).all()
+            assert np.abs(factor.T @ factor - np.eye(factor.shape[1])).max() < 1e-12
+        assert np.isfinite(trainer.fit_history).all()
+        exact = LocalAttentionTrainer(tensor, 2, build_attention(2, f=0.5), (3, 3, 2, 2),
+                                      seed=0, exact_svd=True)
+        for _ in range(3):
+            exact.sweep()
+        assert np.allclose(trainer.fit_history, exact.fit_history, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("mode", [3, 4])
+    def test_window_and_offset_modes_within_a_byte_budget(self, mode):
+        # ranks 60/60/8/8 at K = 40 and window 10: the explicit unfoldings are
+        # 10 x 28800 (2.3 MB) and 31 x 28800 (7.1 MB), past a 1 MB budget that
+        # the cores' Gram keeps to
+        import tracemalloc
+
+        budget = 1 << 20
+        tensor = random_tensor(80, 70, 40, seed=9, min_len=2)
+        rng = np.random.default_rng(9)
+        u, v, w_l, w_s = (np.linalg.qr(rng.standard_normal(shape))[0]
+                          for shape in [(80, 60), (70, 60), (10, 8), (31, 8)])
+        att = build_attention(10, f=1.0)
+        scaling = build_scaling(tensor.item_counts(), 0.2, neutral_missing=True)
+        cores = seqrec.models._position_cores(tensor, scaling.d[tensor.items], u, v)
+        factors = {"U": u, "V": v, "W_A": att.apply(w_l), "W_S": w_s, "scaling": scaling,
+                   "cores": cores}
+
+        def solve(exact):
+            tracemalloc.start()
+            try:
+                op = la_mode_operator(tensor, factors, att, None, mode)
+                result = seqrec.models.truncated_svd(op, 8, exact=exact)
+                return result, op.shape, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (u_gram, s_gram), shape, peak = solve(False)
+        assert shape[0] * shape[1] * 8 > budget
+        assert peak < budget
+        (u_svd, s_svd), _, explicit_peak = solve(True)
+        assert explicit_peak > budget  # the measure sees the unfolding when it is built
+        assert np.allclose(s_gram, s_svd, rtol=1e-10)
+        assert np.abs(u_gram @ u_gram.T - u_svd @ u_svd.T).max() < 1e-8
 
 
 def _histories(first, n_items, k):
