@@ -213,11 +213,13 @@ def cmd_prepare(config):
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     _split_pair(config["split"])  # a config error, so before any reading
+    out = Path(config["output"])
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"output must name a directory, not a file or a path under one: {out}")
     log = dp.ingest_log(path, **options)
     if config["core"] > 1:
         log = dp.core_filter(log, config["core"])
     split = dp.timepoint_split(log, *_resolve_boundaries(log, config["split"]))
-    out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)
     dp.save_split(split, out / "split.npz")
 
@@ -309,6 +311,21 @@ def cmd_tune(config):
     return winner
 
 
+def _read_best(path):
+    """The kind, grid point and sweep count tune wrote to path, each checked."""
+    try:
+        tuned = json.loads(path.read_text())
+        kind, point, sweeps = tuned["kind"], tuned["config"], tuned["sweep_count"]
+        params = _KINDS[kind]
+        if isinstance(point, dict) and set(point) == set(params) and _NATURAL[1](sweeps) and all(
+                valid(point[key]) for key, (_, (_, valid), _) in params.items()):
+            return kind, point, sweeps
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{path} must hold a JSON object with a model 'kind', its grid point "
+                     "('config') and a 'sweep_count', as tune writes them")
+
+
 def cmd_final(config):
     out = Path(config["output"])
     split_path = out / "split.npz"
@@ -317,15 +334,15 @@ def cmd_final(config):
         if not path.exists():
             raise FileNotFoundError(f"missing artifact: {path}")
     split = dp.load_split(split_path)
-    tuned = json.loads(best_path.read_text())
-    kind, point = tuned["kind"], tuned["config"]
-    sweeps = max(1, int(tuned.get("sweep_count", 1)))
+    kind, point, tuned_sweeps = _read_best(best_path)
 
     merged = split.train.replace_events(*(
         np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
         for name in ("users", "items", "timestamps")))
     model = _factory(kind, merged, config["seed"], config["K"])(point)
+    sweeps = 0  # as run: finished models run none
     if hasattr(model, "sweep"):
+        sweeps = max(1, tuned_sweeps)
         for _ in range(sweeps):
             model.sweep()
         model = model.snapshot()
@@ -377,7 +394,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ConvergenceError, MemoryError) as exc:

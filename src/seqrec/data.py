@@ -8,6 +8,7 @@ import gzip
 import io
 import json
 import numbers
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -448,14 +449,20 @@ def save_split(split, path):
 
 
 def load_split(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["version"] != LOG_FORMAT_VERSION:
-            raise DataError(f"unsupported log format version {meta['version']}")
-        return TimeSplit(
-            train=_log_from_arrays(data, "train_", meta),
-            validation=_log_from_arrays(data, "valid_", meta),
-            test=_log_from_arrays(data, "test_", meta),
-            t_valid=meta["t_valid"],
-            t_test=meta["t_test"],
-        )
+    """The TimeSplit that save_split wrote to path; DataError if it cannot be read."""
+    try:
+        # np.load(path) leaves the file open when the archive is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            version = meta["version"]
+            if version == LOG_FORMAT_VERSION:
+                return TimeSplit(
+                    train=_log_from_arrays(data, "train_", meta),
+                    validation=_log_from_arrays(data, "valid_", meta),
+                    test=_log_from_arrays(data, "test_", meta),
+                    t_valid=meta["t_valid"],
+                    t_test=meta["t_test"],
+                )
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is not a readable split file: {exc}") from None
+    raise DataError(f"unsupported log format version {version}")

@@ -29,7 +29,7 @@ RETRY_BASIS_FACTOR = 10
 DENSE_SVD_DIM = 32
 # At or below this many entries PROPACK's two bases, (rows + cols) * (min + 1)
 # doubles, outgrow the matrix itself, and materializing it takes at most
-# MIN_LANCZOS_BASIS applies: a dense SVD is cheaper and loads no SciPy.
+# MIN_LANCZOS_BASIS applies: a Gram eigensolve is cheaper and loads no SciPy.
 DENSE_SVD_SIZE = MIN_LANCZOS_BASIS ** 2
 # Largest operator (rows * cols) a failed PROPACK run may materialize: 32 MB.
 DENSE_FALLBACK_SIZE = 1 << 22
@@ -46,10 +46,9 @@ class ConvergenceError(RuntimeError):
 class ImplicitMatrix:
     """A linear operator given by matvec/rmatvec closures over dense vectors.
 
-    ``dense`` and ``gram`` are optional, set after construction. The HOOI
-    trainer's mode operators set ``gram`` (see ``la_mode_operator``), so that
-    ``truncated_svd`` solves them by an eigensolve of a Gram matrix instead
-    of an SVD; other operators, PureSVD's among them, leave it unset.
+    ``dense`` and ``gram`` are optional, set after construction. ``gram`` is
+    for operators that form their Gram without their dense matrix (the HOOI
+    modes 3/4); ``truncated_svd`` solves those by its eigensolve at any size.
     """
 
     shape: tuple
@@ -57,8 +56,7 @@ class ImplicitMatrix:
     rmatvec: callable
     # builds the dense matrix directly, where that beats one apply per column
     dense: callable = None
-    # builds a Gram matrix for truncated_svd's eigensolve, as (G, A):
-    # G = A A^T with A None, or G = A^T A with A the dense matrix
+    # builds the rows x rows Gram matrix A A^T
     gram: callable = None
 
     def to_linear_operator(self):
@@ -68,13 +66,6 @@ class ImplicitMatrix:
         return LinearOperator(shape=self.shape, dtype=float,
                               matvec=lambda x: self.matvec(np.ravel(x)),
                               rmatvec=lambda y: self.rmatvec(np.ravel(y)))
-
-    @property
-    def small(self):
-        """Whether a dense solve beats PROPACK: a side of at most DENSE_SVD_DIM
-        or at most DENSE_SVD_SIZE entries."""
-        rows, cols = self.shape
-        return min(rows, cols) <= DENSE_SVD_DIM or rows * cols <= DENSE_SVD_SIZE
 
     def materialize(self):
         """Dense matrix from ``dense`` when set, else built column-by-column (or
@@ -167,7 +158,7 @@ def _checked_propack(op, r, rng):
     return u, s
 
 
-def _gram_pairs(g, a, r):
+def _gram_pairs(g, r, a=None):
     """Leading r left singular pairs from the eigensolve of a Gram matrix:
     directly for g = A A^T (``a`` None), and through U = qr(A Q_r) for
     g = A^T A, whose top eigenvectors Q_r are the right singular vectors."""
@@ -185,21 +176,25 @@ def truncated_svd(y, r, seed=0, exact=False):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values. Unless ``exact``, an operator that carries a ``gram`` is
-    solved by a symmetric eigensolve of it, with s = sqrt(max(lambda, 0)):
-    squaring halves the digits, so singular values below about
-    sqrt(eps) * s[0] are noise, and past the operator's rank U holds some
-    orthonormal completion. Otherwise the solve is PROPACK's, seeded by
-    ``seed``. ``small`` operators, ``exact``, and PROPACK failures at
+    singular values. Unless ``exact``, an operator that carries a ``gram``, or
+    has a side of at most DENSE_SVD_DIM or at most DENSE_SVD_SIZE entries (its
+    short side's Gram then), is solved by a symmetric eigensolve of a Gram
+    matrix, with s = sqrt(max(lambda, 0)): squaring halves the digits, so
+    singular values below about sqrt(eps) * s[0] are noise, and past the
+    operator's rank U holds some orthonormal completion. Otherwise the solve
+    is PROPACK's, seeded by ``seed``. ``exact``, and PROPACK failures at
     r >= min - 1 (a breakdown at the operator's rank) or on at most
-    DENSE_FALLBACK_SIZE entries use a dense SVD.
+    DENSE_FALLBACK_SIZE entries, use a dense SVD.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
-    if not exact and y.gram is not None:
-        return _gram_pairs(*y.gram(), r)
-    if not exact and not y.small:
+    if not exact:
+        if y.gram is not None:
+            return _gram_pairs(y.gram(), r)
+        if min(rows, cols) <= DENSE_SVD_DIM or rows * cols <= DENSE_SVD_SIZE:
+            a = y.materialize()
+            return _gram_pairs(a @ a.T, r) if rows <= cols else _gram_pairs(a.T @ a, r, a)
         try:
             return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed))
         except np.linalg.LinAlgError as exc:

@@ -269,11 +269,10 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     of r4*r3 positions per product, and modes 3/4 as the window x r4*r2*r1
     (offset x r3*r2*r1) unfolding, which only ``exact_svd`` and
     ``materialize`` build.
-    Each also carries the Gram ``truncated_svd`` solves by eigensolve
-    (``gram``): modes 1/2 that are ``small`` that of their dense matrix's
-    short side, while larger ones keep PROPACK; modes 3/4 at any size the
-    window x window (offset x offset) ``sum_a S_a^T (C C^T) S_a`` over the
-    shift stack, with ``A^T (.) A`` on mode 3.
+    Modes 3/4 also carry the Gram ``truncated_svd`` solves by eigensolve
+    (``gram``): at any size the window x window (offset x offset)
+    ``sum_a S_a^T (C C^T) S_a`` over the shift stack, with ``A^T (.) A`` on
+    mode 3.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -321,14 +320,8 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
                 out += flat_blocks[lo:hi].T @ s_run.reshape(hi - lo, -1)
             return out.reshape(step, out_dim, r_other).transpose(1, 0, 2).reshape(out_dim, -1)
 
-        def gram():
-            a = dense()
-            return (a @ a.T, None) if out_dim <= a.shape[1] else (a.T @ a, a)
-
         op = ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
         op.dense = dense
-        if op.small:  # larger operators keep PROPACK
-            op.gram = gram
         return op
     if mode in (3, 4):
         cores = factors.get("cores")
@@ -360,7 +353,7 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
             if mode == 3:
                 a = attention.dense()
                 g = a.T @ g @ a
-            return g, None
+            return g
 
         op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
                             rmatvec=rmatvec)

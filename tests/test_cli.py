@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import seqrec.cli
+import seqrec.data
 import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
@@ -104,6 +105,26 @@ class TestPrepare:
         assert main(["--config", str(cfg), "prepare"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("missing file: ") and len(err.strip().splitlines()) == 1
+
+    def test_directory_config_exit_3(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "prepare"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing file: ") and "Is a directory" in err
+        assert str(tmp_path) in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("output", ["taken", "taken/sub"], ids=["file", "under-a-file"])
+    def test_output_naming_a_file_exit_2(self, tmp_path, monkeypatch, capsys, output):
+        cfg, _ = _toy_config(tmp_path, output=str(tmp_path / output))
+        (tmp_path / "taken").write_text("")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(seqrec.data, "ingest_log", refuse)
+        assert main(["--config", str(cfg), "prepare"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: output must name a directory, not a file or a path "
+                       f"under one: {tmp_path / output}\n")
 
     @pytest.mark.parametrize("text", ["seed: [1\n", "5\n", "seed: 0\nK: abc\n"],
                              ids=["malformed-yaml", "not-a-mapping", "non-integer-K"])
@@ -346,6 +367,17 @@ class TestTune:
             assert main(["--config", str(cfg), "--preset", "ml-1m", command]) == 0
         assert json.loads((out / "best.json").read_text())["kind"] == kind
 
+    def test_truncated_split_exit_1(self, tmp_path, capsys):
+        cfg, out = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        split = out / "split.npz"
+        split.write_bytes(split.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tune"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {split} is not a readable split file: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_without_prepare_exit_3(self, tmp_path):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "tune"]) == 3
@@ -370,12 +402,20 @@ class TestTune:
 
 
     def test_dense_svd_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        # the dense SVD runs as the fallback after a PROPACK failure, which the
+        # toy operators reach once no size counts as small
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        def propack_failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
+
+        monkeypatch.setattr(seqrec.linalg, "svds", propack_failing)
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_DIM", 0)
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         monkeypatch.setattr(np.linalg, "svd", failing)
         capsys.readouterr()
         assert main(["--config", str(cfg), "tune"]) == 1
@@ -437,6 +477,36 @@ class TestFinalAndReport:
         shown = capsys.readouterr().out
         assert "grid_log.jsonl" in shown and "report.jsonl" in shown
 
+    @pytest.mark.parametrize("kind", ["mp", "svd"])
+    def test_report_records_no_sweeps_for_finished_models(self, tmp_path, kind):
+        cfg, out = _toy_config(tmp_path, model={"mp": {"kind": "mp"}, "svd": SVD_GRID}[kind])
+        for command in ("prepare", "tune", "final"):
+            assert main(["--config", str(cfg), command]) == 0
+        assert json.loads((out / "best.json").read_text())["sweep_count"] == 0
+        [record] = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        assert record["sweep_count"] == 0
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"config": {}, "sweep_count": 0}',
+        '{"kind": "svd", "sweep_count": 0}',
+        '{"kind": "svd", "config": {"rank": 1, "s": 0.0}, "sweep_count": 0}',
+        '{"kind": "svd", "config": {"rank": "1", "s": 0.0, "regime": "plain"}, '
+        '"sweep_count": 0}',
+        '{"kind": "svd", "config": {"rank": 1, "s": 0.0, "regime": "plain"}}',
+        '{"kind": ["svd"], "config": {}, "sweep_count": 0}',
+    ], ids=["not-json", "not-an-object", "no-kind", "no-config", "missing-parameter",
+            "bad-value", "no-sweep-count", "unhashable-kind"])
+    def test_malformed_best_json_exit_1(self, tmp_path, capsys, text):
+        cfg, out = _toy_config(tmp_path, model=SVD_GRID)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        (out / "best.json").write_text(text)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "final"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'best.json'} ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "report.jsonl").exists()
+
     def test_global_model_end_to_end(self, tmp_path):
         model = {"kind": "global", "grid": {"r1": [2], "r2": [2], "r3": [1, 2],
                                             "f": [0.5], "s": [0.2], "regime": ["restored"]}}
@@ -469,6 +539,8 @@ class TestFinalAndReport:
         tuned = json.loads((out / "best.json").read_text())
         p, sweeps = tuned["config"], tuned["sweep_count"]
         assert sweeps >= 1
+        [record] = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        assert record["sweep_count"] == sweeps
         split = load_split(out / "split.npz")
         merged = split.train.replace_events(*(
             np.concatenate([getattr(split.train, name), getattr(split.validation, name)])

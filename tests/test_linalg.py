@@ -391,29 +391,30 @@ class TestLanczosBasisCap:
 
 
 def _with_gram(a):
-    """Implicit view of ``a`` carrying its short side's Gram, as the HOOI
-    mode operators do."""
+    """Implicit view of ``a`` carrying its rows x rows Gram, as the HOOI modes
+    3/4 do."""
     y = _implicit_from_dense(a)
-    y.gram = lambda: (a @ a.T, None) if a.shape[0] <= a.shape[1] else (a.T @ a, a)
+    y.gram = lambda: a @ a.T
     return y
 
 
 class TestGramSolve:
-    """Operators that carry a Gram are solved by its eigensolve, not an SVD."""
+    """Small operators, and any that carry a Gram, are solved by a Gram
+    eigensolve, not an SVD."""
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
     def test_matches_dense_svd(self, monkeypatch, shape):
         a = np.random.default_rng(2).standard_normal(shape)
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
         monkeypatch.setattr(np.linalg, "svd", None)  # the Gram path takes no SVD
-        u, s = truncated_svd(_with_gram(a), 5)
+        u, s = truncated_svd(_implicit_from_dense(a), 5)
         assert np.allclose(s, s_ref[:5], rtol=1e-12)
         assert _principal_angle(u, u_ref[:, :5]) < 1e-10
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
     def test_rank_past_the_matrix_rank_stays_orthonormal(self, shape):
         a = _low_rank(*shape, rank=3, seed=4)
-        u, s = truncated_svd(_with_gram(a), 8)
+        u, s = truncated_svd(_implicit_from_dense(a), 8)
         assert np.isfinite(u).all() and np.isfinite(s).all()
         assert np.abs(u.T @ u - np.eye(8)).max() < 1e-12
         s_ref = np.linalg.svd(a, compute_uv=False)
@@ -421,6 +422,19 @@ class TestGramSolve:
         # what lies past the rank is rounding noise, about sqrt(eps) * s[0] at most
         assert (s[3:] <= 1e-7 * s[0]).all()
         assert _principal_angle(u[:, :3], np.linalg.svd(a)[0][:, :3]) < 1e-8
+
+    def test_carried_gram_at_any_size(self, monkeypatch):
+        # 40 x 2400 is past both DENSE_SVD_DIM and DENSE_SVD_SIZE: its Gram is
+        # solved, and the operator is never applied or materialized
+        a = np.random.default_rng(5).standard_normal((40, 2400))
+        assert min(a.shape) > DENSE_SVD_DIM and a.size > DENSE_SVD_SIZE
+        u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
+        y = _with_gram(a)
+        y.matvec = y.rmatvec = y.dense = None
+        monkeypatch.setattr(np.linalg, "svd", None)
+        u, s = truncated_svd(y, 4)
+        assert np.allclose(s, s_ref[:4], rtol=1e-12)
+        assert _principal_angle(u, u_ref[:, :4]) < 1e-10
 
     def test_exact_ignores_the_gram(self):
         a = np.random.default_rng(3).standard_normal((6, 9))

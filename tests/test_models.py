@@ -468,6 +468,29 @@ class TestGramAgreesWithExact:
             exact.sweep()
         assert np.allclose(trainer.fit_history, exact.fit_history, rtol=1e-8, atol=0)
 
+    def test_small_puresvd_and_la_sweep_take_no_svd(self, monkeypatch):
+        # truncated_svd picks the Gram path for every small operator, PureSVD's
+        # 7 x 9 item operator among them, whichever model builds it
+        rng = np.random.default_rng(6)
+        users, items = np.nonzero(rng.random((9, 7)) < 0.5)
+        log = make_log([(u, j, t) for t, (u, j) in enumerate(zip(users, items))], 9, 7)
+        x = np.zeros((9, 7))
+        x[users, items] = 1.0
+        v_ref = np.linalg.svd(x)[2][:3].T  # s = 1 leaves the items unscaled
+        trainer = LocalAttentionTrainer(build_positional_tensor(log, 4), 2,
+                                        build_attention(2, f=0.5), (2, 2, 1, 1), seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran where a Gram eigensolve should")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", refuse)
+            patch.setattr(seqrec.linalg, "svds", refuse)
+            svd = train_puresvd(log, r=3, s=1.0)
+            trainer.sweep()
+        assert np.abs(svd.v @ svd.v.T - v_ref @ v_ref.T).max() < 1e-8
+        assert len(trainer.fit_history) == 1 and np.isfinite(trainer.fit_history).all()
+
     @pytest.mark.parametrize("mode", [3, 4])
     def test_window_and_offset_modes_within_a_byte_budget(self, mode):
         # ranks 60/60/8/8 at K = 40 and window 10: the explicit unfoldings are
