@@ -53,8 +53,8 @@ def build_attention(size, f=0.0, mode="power-decay"):
     if size < 1:
         raise ValueError("size must be >= 1")
     if mode == "power-decay":
-        if f < 0:
-            raise ValueError("decay exponent f must be >= 0")
+        if not 0 <= f < np.inf:
+            raise ValueError(f"decay exponent f must be finite and >= 0, got {f}")
         weights = np.arange(1, size + 1, dtype=float) ** -float(f)
     elif mode == "identity":
         weights = np.zeros(size)

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,14 +56,19 @@ def _is_integer(val):
 _INTEGER = ("an integer", _is_integer)
 _NATURAL = ("an integer >= 0", lambda val: _is_integer(val) and val >= 0)
 _POSITIVE = ("an integer >= 1", lambda val: _is_integer(val) and val >= 1)
-_REAL = ("a real number", lambda val: _is_integer(val) or isinstance(val, float))
+# YAML reads .nan and .inf as floats; an integer past the float range would
+# overflow to inf as well
+_REAL = ("a finite real number",
+         lambda val: (_is_integer(val) and abs(val) <= sys.float_info.max
+                      or isinstance(val, float) and math.isfinite(val)))
+_DECAY = ("a finite real number >= 0", lambda val: _REAL[1](val) and val >= 0)
 _STRING = ("a string", lambda val: isinstance(val, str))
 _MAPPING = ("a mapping", lambda val: isinstance(val, dict))
 _REGIME = {"regime": (["plain", "restored"],
                       ("'plain' or 'restored'", lambda val: val in ("plain", "restored")), None)}
 _USER_ITEM = {"r1": (_TENSOR_RANKS, _POSITIVE, lambda m, n, k: m),
               "r2": (_TENSOR_RANKS, _POSITIVE, lambda m, n, k: n)}
-_ATTENTION = {"f": ([0.0, 0.5, 1.0], _REAL, None), "s": ([0.0, 0.2, 0.4, 0.6], _REAL, None),
+_ATTENTION = {"f": ([0.0, 0.5, 1.0], _DECAY, None), "s": ([0.0, 0.2, 0.4, 0.6], _REAL, None),
               **_REGIME}
 
 # Each model kind's grid, in enumeration order: parameter -> (default list,

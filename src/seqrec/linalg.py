@@ -1,4 +1,5 @@
-"""Numerical kernels: implicit-operator truncated SVD, orthonormal init, skew-diagonal block caches."""
+"""Numerical kernels: implicit-operator truncated SVD, orthonormal init, and the
+shift stack that every Hankel (skew-diagonal) product is built from."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ __all__ = [
     "skew_block_cache",
 ]
 
-FFT_CROSSOVER = 32
 SVD_TOL = 1e-8
 # PROPACK does not restart, so its basis must hold the whole run: scipy's 10 * r
 # stops short at small r (r = 2-20 took 46-204 steps on 300-2000-row matrices).
@@ -207,12 +207,27 @@ def truncated_svd(y, r, seed=0, exact=False):
     return u[:, :r], s[:r]
 
 
+def _shift_stack(w, k):
+    """K shifted copies of a window factor: ``out[q][j] = w[q - j]`` when that
+    index is valid, 0 otherwise (shape K x (K - len(w) + 1) x r).
+
+    For ``w = W_S`` slice q is the one-hot Hankel matrix at skew offset q times
+    W_S; for ``w = W_A`` it is the transposed Hankel matrix times W_A.
+    """
+    n_rows, r = w.shape
+    out = np.zeros((k, k - n_rows + 1, r))
+    for j in range(k - n_rows + 1):
+        out[j:j + n_rows, j, :] = w
+    return out
+
+
 @dataclass(frozen=True)
 class SkewBlockCache:
     """Per-skew-offset correlation blocks between two factor matrices.
 
     ``blocks[q][a][b] = sum_{l + s = q} w_a[l, a] * w_s[s, b]`` (0-based offsets
-    q in [0, K)), i.e. the compression of the one-hot Hankel matrix at offset q.
+    q in [0, K)), i.e. the compression of the one-hot Hankel matrix at offset q:
+    ``blocks[q] = S_q^T W_S`` with ``S = _shift_stack(W_A, K)``.
     """
 
     blocks: np.ndarray = field(repr=False)
@@ -224,12 +239,7 @@ class SkewBlockCache:
 
 
 def _skew_blocks_direct(w_a, w_s):
-    k_l, r3 = w_a.shape
-    k_s, r4 = w_s.shape
-    blocks = np.zeros((k_l + k_s - 1, r3, r4))
-    for l in range(k_l):
-        blocks[l:l + k_s] += w_a[l][None, :, None] * w_s[:, None, :]
-    return blocks
+    return _shift_stack(w_a, len(w_a) + len(w_s) - 1).transpose(0, 2, 1) @ w_s
 
 
 def _skew_blocks_fft(w_a, w_s):
@@ -242,14 +252,12 @@ def _skew_blocks_fft(w_a, w_s):
     return np.fft.irfft(prod, n=n, axis=0)
 
 
-def skew_block_cache(w_a, w_s, use_fft=None):
-    """Compute all K = K_L + K_S - 1 correlation blocks, via FFT for large K."""
+def skew_block_cache(w_a, w_s, use_fft=False):
+    """All K = K_L + K_S - 1 correlation blocks, as one batched product over the
+    shift stack of ``w_a``; ``use_fft`` builds them by FFT instead."""
     w_a = np.asarray(w_a, dtype=float)
     w_s = np.asarray(w_s, dtype=float)
     if w_a.ndim != 2 or w_s.ndim != 2:
         raise ValueError("factor matrices must be 2-dimensional")
-    k = w_a.shape[0] + w_s.shape[0] - 1
-    if use_fft is None:
-        use_fft = k >= FFT_CROSSOVER
     blocks = _skew_blocks_fft(w_a, w_s) if use_fft else _skew_blocks_direct(w_a, w_s)
     return SkewBlockCache(blocks=blocks, w_a=w_a, w_s=w_s)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .attention import AttentionMatrix, build_attention, triangular_restore
-from .linalg import ImplicitMatrix, random_orthonormal, skew_block_cache, truncated_svd
+from .linalg import (ImplicitMatrix, _shift_stack, random_orthonormal, skew_block_cache,
+                     truncated_svd)
 
 __all__ = [
     "ColdUserError",
@@ -220,20 +222,6 @@ def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
 # locally attentive tensor factorization over the hankelized tensor
 
 
-def _shift_stack(w, k):
-    """K shifted copies of a window factor: ``out[q][j] = w[q - j]`` when that
-    index is valid, 0 otherwise (shape K x (K - len(w) + 1) x r).
-
-    For ``w = W_S`` slice q is the one-hot Hankel matrix at skew offset q times
-    W_S; for ``w = W_A`` it is the transposed Hankel matrix times W_A.
-    """
-    n_rows, r = w.shape
-    out = np.zeros((k, k - n_rows + 1, r))
-    for j in range(k - n_rows + 1):
-        out[j:j + n_rows, j, :] = w
-    return out
-
-
 def _position_cores(tensor, dvals, u, v):
     """Per-position compressed slices ``C[q] = V^T diag(d) X_q U`` (K x r2 x r1).
 
@@ -405,8 +393,8 @@ class LocalAttentionModel:
 
 
 class LocalAttentionTrainer:
-    """Alternating sweeps over the four modes of the hankelized tensor,
-    rebuilding skew-block caches whenever a source factor changes."""
+    """Alternating sweeps over the four modes of the hankelized tensor; each
+    sweep builds one skew-block cache of W_A and W_S, which modes 1/2 share."""
 
     model_class = LocalAttentionModel
 
@@ -625,28 +613,33 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with np.load(path, allow_pickle=False) as data:
-        params = json.loads(str(data["params"]))
-        if params["version"] != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {params['version']}")
-        kind = params["kind"]
-        if kind == "mp":
-            return MPModel(counts=data["counts"].astype(np.int64))
-        scaling = ScalingDiag(d=data["d"], s=params["s"])
-        if kind == "svd":
-            return SVDModel(v=data["v"], scaling=scaling, regime=params["regime"])
-        if kind == "global":
-            attention = _attention_from_params(params["attention"])
-            return GlobalAttentionModel(
-                v=data["v"], w_l=data["w"], w_l_hat=data["w_hat"], w_s=np.ones((1, 1)),
-                attention=attention, scaling=scaling, regime=params["regime"],
-                ranks=tuple(params["ranks"]), max_position=attention.size,
-            )
-        if kind == "local":
-            return LocalAttentionModel(
-                v=data["v"], w_l=data["w_l"], w_l_hat=data["w_l_hat"], w_s=data["w_s"],
-                attention=_attention_from_params(params["attention"]),
-                scaling=scaling, regime=params["regime"], ranks=tuple(params["ranks"]),
-                max_position=params["max_position"],
-            )
+    """The model save_model wrote to path; ValueError if it cannot be read."""
+    try:
+        # np.load(path) leaves the file open when the archive is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            params = json.loads(str(data["params"]))
+            if params["version"] != MODEL_FORMAT_VERSION:
+                raise ValueError(f"unsupported model format version {params['version']}")
+            kind = params["kind"]
+            if kind == "mp":
+                return MPModel(counts=data["counts"].astype(np.int64))
+            scaling = ScalingDiag(d=data["d"], s=params["s"])
+            if kind == "svd":
+                return SVDModel(v=data["v"], scaling=scaling, regime=params["regime"])
+            if kind == "global":
+                attention = _attention_from_params(params["attention"])
+                return GlobalAttentionModel(
+                    v=data["v"], w_l=data["w"], w_l_hat=data["w_hat"], w_s=np.ones((1, 1)),
+                    attention=attention, scaling=scaling, regime=params["regime"],
+                    ranks=tuple(params["ranks"]), max_position=attention.size,
+                )
+            if kind == "local":
+                return LocalAttentionModel(
+                    v=data["v"], w_l=data["w_l"], w_l_hat=data["w_l_hat"], w_s=data["w_s"],
+                    attention=_attention_from_params(params["attention"]),
+                    scaling=scaling, regime=params["regime"], ranks=tuple(params["ranks"]),
+                    max_position=params["max_position"],
+                )
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a readable model file: {exc}") from None
     raise ValueError(f"unknown model kind {kind!r}")

@@ -28,6 +28,11 @@ class TestBuildAttention:
         with pytest.raises(ValueError, match="f"):
             build_attention(4, f=-0.1)
 
+    @pytest.mark.parametrize("f", [float("nan"), float("inf")])
+    def test_non_finite_f_rejected(self, f):
+        with pytest.raises(ValueError, match="f"):
+            build_attention(4, f=f)
+
     def test_identity_mode(self):
         a = build_attention(4, mode="identity")
         assert np.array_equal(a.dense(), np.eye(4))

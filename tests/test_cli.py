@@ -294,6 +294,13 @@ class TestTune:
         {"model": {"kind": "svd", "grid": {"rank": [True]}}},
         {"model": {"kind": "svd", "grid": {"s": ["x"]}}},
         {"model": {"kind": "global", "grid": {"f": ["x"]}}},
+        {"model": {"kind": "local", "grid": {"f": [float("nan")]}}},
+        {"model": {"kind": "local", "grid": {"f": [float("inf")]}}},
+        {"model": {"kind": "local", "grid": {"f": [-1]}}},
+        {"model": {"kind": "global", "grid": {"f": [-0.5]}}},
+        {"model": {"kind": "svd", "grid": {"s": [float("nan")]}}},
+        {"model": {"kind": "svd", "grid": {"s": [float("inf")]}}},
+        {"model": {"kind": "svd", "grid": {"s": [float("-inf")]}}},
         {"model": {"kind": "local", "window_values": ["a"]}},
         {"model": {"kind": "svd", "grid": {"regime": ["bogus"]}}},
         {"model": {"kind": "svd", "grid": {"regime": []}}},
@@ -329,6 +336,12 @@ class TestTune:
             assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
             assert next(iter(extra)) in err
         assert not (out / "grid_log.jsonl").exists()
+
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys):
+        cfg, out = _toy_config(tmp_path, model={"kind": "svd", "grid": {"s": [10 ** 400]}})
+        assert main(["--config", str(cfg), "prepare"]) == 2
+        assert "model.grid.s entry must be a finite real number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, named", [
         ({"kind": "svd", "grid": {"rnak": [1]}}, "grid.rnak"),

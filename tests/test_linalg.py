@@ -507,6 +507,13 @@ class TestSkewBlockCache:
         cache = skew_block_cache(w_a, w_s)
         assert np.allclose(cache.blocks, _skew_blocks_oracle(w_a, w_s), atol=1e-12)
 
+    def test_default_build_is_exact(self):
+        # on integer entries the shift-stack product rounds nothing
+        rng = np.random.default_rng(8)
+        w_a = rng.integers(-9, 10, size=(20, 3)).astype(float)
+        w_s = rng.integers(-9, 10, size=(21, 3)).astype(float)
+        assert np.array_equal(skew_block_cache(w_a, w_s).blocks, _skew_blocks_oracle(w_a, w_s))
+
     def test_bilinearity(self):
         rng = np.random.default_rng(7)
         w_a = rng.standard_normal((4, 2))

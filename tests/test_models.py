@@ -334,6 +334,7 @@ def _mode_operators(kind, k):
             for mode in (1, 2, 3, 4)}
 
 
+# a short and a long K; both build their skew blocks by the shift stack
 @pytest.mark.parametrize("k", [6, 40], ids=["direct-skew", "fft-skew"])
 @pytest.mark.parametrize("kind, mode", [("ga", 1), ("ga", 2), ("ga", 3),
                                         ("la", 1), ("la", 2), ("la", 3), ("la", 4)])
@@ -347,6 +348,24 @@ def test_dense_build_matches_column_loop(kind, mode, k):
     op.matvec = op.rmatvec = applies.append
     assert np.abs(op.materialize() - columns).max() < 1e-12
     assert not applies
+
+
+@pytest.mark.parametrize("kind", ["la", "ga"])
+def test_sweeps_build_skew_blocks_without_fft(monkeypatch, kind):
+    # K = 40: long windows build their skew blocks from the shift stack too
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT ran")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    tensor = random_tensor(30, 25, 40, seed=4)
+    if kind == "la":
+        trainer = LocalAttentionTrainer(tensor, 20, build_attention(20, f=0.5), (3, 4, 2, 2))
+    else:
+        trainer = GlobalAttentionTrainer(tensor, build_attention(40, f=0.5), (3, 4, 2))
+    trainer.sweep()
+    trainer.sweep()
+    assert len(trainer.fit_history) == 2 and np.isfinite(trainer.fit_history).all()
 
 
 def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, sweeps=3):
@@ -943,6 +962,14 @@ class TestSerialization:
         np.savez(path, params=np.array(json.dumps({"kind": "mp", "version": 99})),
                  counts=counts)
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+
+    def test_damaged_file_is_value_error_naming_it(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_model(_mp_fixture(), path)
+        path.write_bytes(path.read_bytes()[:-50])
+        with pytest.raises(ValueError, match="m.npz is not a readable model file"):
             load_model(path)
 
 
