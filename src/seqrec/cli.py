@@ -260,6 +260,11 @@ def _grid_space(kind, config, m, n_items, k):
         lambda p: p["r4"] < p["window"],
         lambda p: p["r4"] <= k - p["window"] + 1,
     ) if "window" in values else ()
+    # A Tucker rank is at most the product of the other ranks, the column
+    # count of its mode's compressed unfolding (GA's fourth rank is 1).
+    ranks = [key for key in ("r1", "r2", "r3", "r4") if key in values]
+    constraints += (lambda p: all(p[key] <= math.prod(p[r] for r in ranks if r != key)
+                                  for key in ranks),)
     return GridSpace(values=values, constraints=constraints, budget=config["budget"])
 
 

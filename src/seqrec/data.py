@@ -386,6 +386,8 @@ def boundary_for_count(log, tail_count):
     if tail_count < 0:
         raise DataError("tail count must be >= 0")
     ts = np.sort(log.timestamps)
+    if not len(ts):
+        raise DataError("cannot place a boundary in an empty log")
     if tail_count >= len(ts):
         return int(ts[0])
     # every event tied with the latest one that must stay before the boundary
@@ -412,28 +414,36 @@ def build_positional_tensor(train, K):
                                   shape=(train.n_users, train.n_items, K))
 
 
-def _log_payload(log, prefix):
-    return {
-        f"{prefix}users": log.users,
-        f"{prefix}items": log.items,
-        f"{prefix}timestamps": log.timestamps,
-    }
+def _write_archive(path, meta, arrays):
+    """Store ``meta`` as JSON next to the named arrays in one npz archive."""
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
-def _log_from_arrays(data, prefix, meta):
-    return InteractionLog(
-        users=data[f"{prefix}users"],
-        items=data[f"{prefix}items"],
-        timestamps=data[f"{prefix}timestamps"],
-        user_map=meta["user_map"],
-        item_map=meta["item_map"],
-        n_users=meta["n_users"],
-        n_items=meta["n_items"],
-    )
+def _read_archive(path, version, build, what):
+    """``build(meta, arrays)`` of the archive :func:`_write_archive` wrote to
+    path, once its meta holds ``version``.
+
+    Any failure, the builder's included, is one :class:`DataError` that names
+    the file as not a readable ``what`` file.
+    """
+    try:
+        # np.load(path) leaves the file open when the archive is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta["version"] != version:
+                raise DataError(f"format version {meta['version']}, not {version}")
+            return build(meta, data)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is not a readable {what} file: {exc}") from None
+
+
+# each part of a split and the prefix of its arrays in split.npz
+_SPLIT_PARTS = {"train": "train_", "validation": "valid_", "test": "test_"}
+_LOG_ARRAYS = ("users", "items", "timestamps")
 
 
 def save_split(split, path):
-    meta = json.dumps({
+    meta = {
         "version": LOG_FORMAT_VERSION,
         "n_users": split.train.n_users,
         "n_items": split.train.n_items,
@@ -441,28 +451,19 @@ def save_split(split, path):
         "item_map": {str(k): v for k, v in split.train.item_map.items()},
         "t_valid": split.t_valid,
         "t_test": split.t_test,
-    })
-    payload = {}
-    for name, log in (("train_", split.train), ("valid_", split.validation), ("test_", split.test)):
-        payload.update(_log_payload(log, name))
-    np.savez(path, meta=np.array(meta), **payload)
+    }
+    _write_archive(path, meta, {prefix + name: getattr(getattr(split, part), name)
+                                for part, prefix in _SPLIT_PARTS.items()
+                                for name in _LOG_ARRAYS})
 
 
 def load_split(path):
     """The TimeSplit that save_split wrote to path; DataError if it cannot be read."""
-    try:
-        # np.load(path) leaves the file open when the archive is unreadable
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            version = meta["version"]
-            if version == LOG_FORMAT_VERSION:
-                return TimeSplit(
-                    train=_log_from_arrays(data, "train_", meta),
-                    validation=_log_from_arrays(data, "valid_", meta),
-                    test=_log_from_arrays(data, "test_", meta),
-                    t_valid=meta["t_valid"],
-                    t_test=meta["t_test"],
-                )
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} is not a readable split file: {exc}") from None
-    raise DataError(f"unsupported log format version {version}")
+    def build(meta, data):
+        index = {key: meta[key] for key in ("user_map", "item_map", "n_users", "n_items")}
+        logs = {part: InteractionLog(**{name: data[prefix + name] for name in _LOG_ARRAYS},
+                                     **index)
+                for part, prefix in _SPLIT_PARTS.items()}
+        return TimeSplit(**logs, t_valid=meta["t_valid"], t_test=meta["t_test"])
+
+    return _read_archive(path, LOG_FORMAT_VERSION, build, "split")

@@ -221,7 +221,7 @@ class GridPoint:
                 "wall_time": self.wall_time, **self.report.as_dict()}
 
 
-_RANK_KEYS = ("r", "r1", "r2", "r3", "r4", "rank")
+_RANK_KEYS = ("r1", "r2", "r3", "r4", "rank")
 
 
 def _total_rank(config):

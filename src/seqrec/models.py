@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .attention import AttentionMatrix, build_attention, triangular_restore
+from .data import _read_archive, _write_archive
 from .linalg import (ImplicitMatrix, _shift_stack, random_orthonormal, skew_block_cache,
                      truncated_svd)
 
@@ -34,7 +33,7 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ColdUserError(ValueError):
@@ -514,10 +513,6 @@ class GlobalAttentionModel(LocalAttentionModel):
     def w(self):
         return self.w_l
 
-    @property
-    def w_hat(self):
-        return self.w_l_hat
-
 
 class GlobalAttentionTrainer(LocalAttentionTrainer):
     """HOOI over the user, item and position modes: the windowed trainer at
@@ -533,7 +528,7 @@ class GlobalAttentionTrainer(LocalAttentionTrainer):
         init["W_S"] = np.ones((1, 1))
         super().__init__(tensor, tensor.shape[2], attention, (*ranks, 1), s=s, seed=seed,
                          regime=regime, exact_svd=exact_svd, init=init)
-        # the model and its saved params keep the caller's three ranks
+        # the model and its saved meta keep the caller's three ranks
         self.ranks = tuple(ranks)
 
     @property
@@ -579,67 +574,46 @@ def predict_next(model, history, n, exclude_seen=True):
     return candidates[np.argsort(-scores[candidates], kind="stable")][:n]
 
 
-def _attention_params(att):
-    return {"size": att.size, "f": att.f, "mode": att.mode}
-
-
-def _attention_from_params(p):
-    return build_attention(p["size"], f=p["f"], mode=p["mode"])
-
-
 def save_model(model, path):
-    """Serialize a model to a self-describing npz container (bit-exact round trip)."""
-    params = {"kind": model.kind, "version": MODEL_FORMAT_VERSION}
-    arrays = {}
+    """Serialize a model to a self-describing npz container (bit-exact round trip).
+
+    A whole-sequence model is stored as the windowed model it is, with
+    ``w_s = [[1]]`` and ``max_position = K``.
+    """
+    meta = {"kind": model.kind, "version": MODEL_FORMAT_VERSION}
     if model.kind == "mp":
-        arrays["counts"] = model.counts
-    elif model.kind == "svd":
-        params.update(regime=model.regime, s=model.scaling.s)
-        arrays.update(v=model.v, d=model.scaling.d)
-    elif model.kind == "global":
-        params.update(regime=model.regime, s=model.scaling.s, ranks=list(model.ranks),
-                      attention=_attention_params(model.attention))
-        arrays.update(v=model.v, w=model.w, w_hat=model.w_hat, d=model.scaling.d)
-    elif model.kind == "local":
-        params.update(regime=model.regime, s=model.scaling.s, ranks=list(model.ranks),
-                      attention=_attention_params(model.attention),
-                      max_position=model.max_position)
-        arrays.update(v=model.v, w_l=model.w_l, w_l_hat=model.w_l_hat, w_s=model.w_s,
-                      d=model.scaling.d)
+        arrays = {"counts": model.counts}
+    elif model.kind in ("svd", "global", "local"):
+        meta.update(regime=model.regime, s=model.scaling.s)
+        arrays = {"v": model.v}
+        if model.kind != "svd":
+            att = model.attention
+            meta.update(ranks=list(model.ranks), max_position=model.max_position,
+                        attention={"size": att.size, "f": att.f, "mode": att.mode})
+            arrays.update(w_l=model.w_l, w_l_hat=model.w_l_hat, w_s=model.w_s)
+        arrays["d"] = model.scaling.d
     else:
         raise ValueError(f"unknown model kind {model.kind!r}")
-    np.savez(path, params=np.array(json.dumps(params)),
-             **{k: np.ascontiguousarray(a, dtype=np.float64) for k, a in arrays.items()})
+    _write_archive(path, meta, {k: np.ascontiguousarray(a, dtype=np.float64)
+                                for k, a in arrays.items()})
 
 
 def load_model(path):
     """The model save_model wrote to path; ValueError if it cannot be read."""
-    try:
-        # np.load(path) leaves the file open when the archive is unreadable
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            params = json.loads(str(data["params"]))
-            if params["version"] != MODEL_FORMAT_VERSION:
-                raise ValueError(f"unsupported model format version {params['version']}")
-            kind = params["kind"]
-            if kind == "mp":
-                return MPModel(counts=data["counts"].astype(np.int64))
-            scaling = ScalingDiag(d=data["d"], s=params["s"])
-            if kind == "svd":
-                return SVDModel(v=data["v"], scaling=scaling, regime=params["regime"])
-            if kind == "global":
-                attention = _attention_from_params(params["attention"])
-                return GlobalAttentionModel(
-                    v=data["v"], w_l=data["w"], w_l_hat=data["w_hat"], w_s=np.ones((1, 1)),
-                    attention=attention, scaling=scaling, regime=params["regime"],
-                    ranks=tuple(params["ranks"]), max_position=attention.size,
-                )
-            if kind == "local":
-                return LocalAttentionModel(
-                    v=data["v"], w_l=data["w_l"], w_l_hat=data["w_l_hat"], w_s=data["w_s"],
-                    attention=_attention_from_params(params["attention"]),
-                    scaling=scaling, regime=params["regime"], ranks=tuple(params["ranks"]),
-                    max_position=params["max_position"],
-                )
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a readable model file: {exc}") from None
-    raise ValueError(f"unknown model kind {kind!r}")
+    def build(meta, data):
+        kind = meta["kind"]
+        if kind == "mp":
+            return MPModel(counts=data["counts"].astype(np.int64))
+        scaling = ScalingDiag(d=data["d"], s=meta["s"])
+        if kind == "svd":
+            return SVDModel(v=data["v"], scaling=scaling, regime=meta["regime"])
+        if kind not in ("global", "local"):
+            raise ValueError(f"unknown model kind {kind!r}")
+        att = meta["attention"]
+        return (GlobalAttentionModel if kind == "global" else LocalAttentionModel)(
+            v=data["v"], w_l=data["w_l"], w_l_hat=data["w_l_hat"], w_s=data["w_s"],
+            attention=build_attention(att["size"], f=att["f"], mode=att["mode"]),
+            scaling=scaling, regime=meta["regime"], ranks=tuple(meta["ranks"]),
+            max_position=meta["max_position"])
+
+    return _read_archive(path, MODEL_FORMAT_VERSION, build, "model")

@@ -14,6 +14,7 @@ import yaml
 
 import seqrec.cli
 import seqrec.data
+import seqrec.evaluation
 import seqrec.linalg
 import seqrec.models
 from helpers import MARKOV_CYCLE, MARKOV_PHASES
@@ -97,6 +98,16 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gzip" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("test_count", [10, 100])
+    def test_test_count_covering_the_log_exit_1(self, tmp_path, capsys, test_count):
+        # the test tail takes all 10 events, so no event is left before it
+        # to place the validation boundary among
+        cfg, out = _toy_config(tmp_path, split={"valid_count": 1, "test_count": test_count})
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_directory_dataset_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "config.yaml"
@@ -221,6 +232,10 @@ def _tune_outputs(out):
 
 
 class TestTune:
+    def test_tie_break_ranks_are_grid_parameters(self):
+        params = set().union(*seqrec.cli._KINDS.values())
+        assert set(seqrec.evaluation._RANK_KEYS) <= params
+
     def test_restricted_grid_emits_four_lines(self, tmp_path):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
@@ -247,6 +262,22 @@ class TestTune:
         records = [json.loads(l) for l in
                    (out / "grid_log.jsonl").read_text().splitlines()]
         assert sorted(r["config"]["r3"] for r in records) == [1, 2]
+
+    @pytest.mark.parametrize("model, feasible", [
+        ({"kind": "local", "window_values": [2],
+          "grid": {"r1": [1, 2], "r2": [1], "r3": [1], "r4": [1]}}, [(1, 1, 1, 1)]),
+        ({"kind": "global", "grid": {"r1": [1, 2], "r2": [1, 2], "r3": [1]}},
+         [(1, 1, 1), (2, 2, 1)]),
+    ], ids=["local", "global"])
+    def test_tucker_rank_constraint_excludes_points(self, tmp_path, model, feasible):
+        # a rank above the product of the others has no unfolding to solve
+        model["grid"].update(f=[0.5], s=[0.2], regime=["plain"])
+        cfg, out = _toy_config(tmp_path, model=model, max_sweeps=1, patience=1)
+        assert main(["--config", str(cfg), "prepare"]) == 0
+        assert main(["--config", str(cfg), "tune"]) == 0
+        records, _ = _tune_outputs(out)
+        keys = [key for key in ("r1", "r2", "r3", "r4") if key in model["grid"]]
+        assert [tuple(r["config"][key] for key in keys) for r in records] == feasible
 
     def test_rerun_same_seed_is_identical(self, tmp_path):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)

@@ -313,6 +313,8 @@ class TestTimepointSplit:
             timepoint_split(log, 2, t)
         with pytest.raises(DataError, match="tail"):
             boundary_for_count(log, -1)
+        with pytest.raises(DataError, match="empty log"):
+            boundary_for_count(log.replace_events([], [], []), 0)
 
     def test_split_sizes_match_counting_oracle(self):
         rng = np.random.default_rng(1)
@@ -428,4 +430,17 @@ class TestSerialization:
         meta["version"] = 99
         np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(DataError, match="version"):
+            load_split(path)
+
+    @pytest.mark.parametrize("layout", ["truncated", "no meta"])
+    def test_unreadable_file_is_data_error_naming_it(self, tmp_path, layout):
+        path = tmp_path / "split.npz"
+        save_split(timepoint_split(make_log([(0, 0, 1), (0, 1, 2), (1, 0, 3)]), 2, 3), path)
+        if layout == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files if k != "meta"}
+            np.savez(path, **arrays)
+        with pytest.raises(DataError, match=f"{path.name} is not a readable split file"):
             load_split(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -954,22 +955,42 @@ class TestSerialization:
                 assert np.array_equal(predict_next(model, hist, 10),
                                       predict_next(loaded, hist, 10)), name
 
+    def test_whole_sequence_model_is_stored_as_the_windowed_one(self, tmp_path):
+        models = self._models()
+        for kind in ("global", "local"):
+            save_model(models[kind], tmp_path / f"{kind}.npz")
+        with np.load(tmp_path / "global.npz") as ga, np.load(tmp_path / "local.npz") as la:
+            assert ga.files == la.files
+            meta = json.loads(str(ga["meta"]))
+            assert np.array_equal(ga["w_l"], models["global"].w)
+            assert np.array_equal(ga["w_s"], [[1.0]])
+        assert meta["max_position"] == meta["attention"]["size"] == 3
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_model(_mp_fixture(), path)
-        with np.load(path, allow_pickle=False) as data:
-            counts = data["counts"]
-        np.savez(path, params=np.array(json.dumps({"kind": "mp", "version": 99})),
-                 counts=counts)
-        with pytest.raises(ValueError, match="version"):
+        np.savez(path, meta=np.array(json.dumps({"kind": "mp", "version": 99})),
+                 counts=np.ones(3))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is not a readable model file: format version 99")):
             load_model(path)
-
 
     def test_damaged_file_is_value_error_naming_it(self, tmp_path):
         path = tmp_path / "m.npz"
         save_model(_mp_fixture(), path)
         path.write_bytes(path.read_bytes()[:-50])
         with pytest.raises(ValueError, match="m.npz is not a readable model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("layout", ["no meta", "version 1"])
+    def test_foreign_layout_is_value_error_naming_it(self, tmp_path, layout):
+        path = tmp_path / "m.npz"
+        if layout == "no meta":
+            np.savez(path, counts=np.ones(3))
+        else:
+            # the layout of format version 1: JSON params, not meta
+            np.savez(path, params=np.array(json.dumps({"kind": "mp", "version": 1})),
+                     counts=np.ones(3))
+        with pytest.raises(ValueError, match=re.escape(f"{path} is not a readable model file")):
             load_model(path)
 
 
