@@ -104,7 +104,7 @@ _SETTINGS = {
                 "time_col": ("timestamp", None),
                 "header": (True, ("true or false", lambda val: isinstance(val, bool)))},
     "split": {"t_valid": (None, _INTEGER), "t_test": (None, _INTEGER),
-              "valid_count": (None, _NATURAL), "test_count": (None, _NATURAL)},
+              "valid_count": (None, _POSITIVE), "test_count": (None, _POSITIVE)},
     "model": {"kind": ("local", (f"one of {list(_KINDS)}",
                                  lambda val: isinstance(val, str) and val in _KINDS)),
               "grid": (None, ("a mapping of each parameter to a list",

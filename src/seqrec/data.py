@@ -159,8 +159,9 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
     Returns ``(columns, first_line, blanks, fault)``: the three columns; the
     line number of the first data row; for each skipped blank line, the number
     of data rows read before it; and the error that ended the read early (a
-    short row or a corrupt stream) or None. The rows read before a fault still
-    have their timestamps checked first, so the earliest bad line wins.
+    short row, a field the csv module rejects or a corrupt stream) or None.
+    The rows read before a fault still have their timestamps checked first,
+    so the earliest bad line wins.
     """
     rows = csv.reader(text, delimiter=delimiter)
     users, items, times, blanks = [], [], [], []
@@ -198,7 +199,9 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
             add_time(row[t_idx])
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         fault = ParseError(f"corrupt or truncated gzip stream: {exc}")
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
+        fault = ParseError(f"line {rows.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
         fault = exc
     return (users, items, times), first_line, blanks, fault
 

@@ -247,9 +247,10 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     per position and then touch each entry once (scatter or gather):
     O(nnz + n*K*r + K*r3*r4*r) per matvec/rmatvec. Modes 3/4 reduce the
     entries to per-position cores C once (K x r2*r1, flattened) and apply
-    through them, O(K*(window or offsets)*r + K*r2*r1*r) per call. They reuse
-    ``factors["cores"]``, the :func:`_position_cores` of U and V, when it is
-    set, and build the cores otherwise.
+    through them and the shift stack S of W_S (mode 3, with A^T taken in once
+    at build) or W_A (mode 4), O(K*(window or offsets)*r + K*r2*r1*r) per
+    call. They reuse ``factors["cores"]``, the :func:`_position_cores` of U
+    and V, when it is set, and build the cores otherwise.
 
     Each operator builds its dense matrix directly (``dense``): modes 1/2 from
     per-(row, position) sums of the entries, contracted with the skew blocks
@@ -258,8 +259,7 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     ``materialize`` build.
     Modes 3/4 also carry the Gram ``truncated_svd`` solves by eigensolve
     (``gram``): at any size the window x window (offset x offset)
-    ``sum_a S_a^T (C C^T) S_a`` over the shift stack, with ``A^T (.) A`` on
-    mode 3.
+    ``sum_a S_a^T (C C^T) S_a`` over that stack.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -316,31 +316,24 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
             cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
         flat = cores.reshape(k, -1)
         # shift[:, :, a] is S_a: the unfolding is [S_0^T C, S_1^T C, ...] over
-        # the flattened cores C (times A^T on mode 3)
+        # the flattened cores C. On mode 3 every shift[q] becomes A^T shift[q].
         shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
+        if mode == 3:
+            shift = attention.apply_transpose(shift)
         out_dim, r_shift = shift.shape[1:]
 
         def matvec(z):
-            y = np.einsum("qja,qa->j", shift, flat @ np.reshape(z, (r_shift, -1)).T)
-            return attention.apply_transpose(y) if mode == 3 else y
+            return np.einsum("qja,qa->j", shift, flat @ np.reshape(z, (r_shift, -1)).T)
 
         def rmatvec(y):
-            if mode == 3:
-                y = attention.apply(y)
             return (np.einsum("qja,j->qa", shift, y).T @ flat).ravel()
 
         def dense():
-            y = np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
-            return attention.apply_transpose(y) if mode == 3 else y
+            return np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
 
         def gram():
-            # sum_a S_a^T (C C^T) S_a, then A^T (.) A on mode 3
-            g = np.tensordot(shift, np.tensordot(flat @ flat.T, shift, axes=([1], [0])),
-                             axes=([0, 2], [0, 2]))
-            if mode == 3:
-                a = attention.dense()
-                g = a.T @ g @ a
-            return g
+            return np.tensordot(shift, np.tensordot(flat @ flat.T, shift, axes=([1], [0])),
+                                axes=([0, 2], [0, 2]))
 
         op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
                             rmatvec=rmatvec)

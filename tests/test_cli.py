@@ -90,6 +90,17 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and len(err.strip().splitlines()) == 1
 
+    def test_oversized_field_exit_1(self, tmp_path, capsys):
+        # past the csv module's field limit (131072 characters)
+        cfg, out = _toy_config(tmp_path)
+        (tmp_path / "events.csv").write_text(
+            "user,item,timestamp\nu0,i0,0\nu0," + "x" * 200_000 + ",1\n")
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: field larger than field limit")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_truncated_gzip_exit_1(self, tmp_path, capsys):
         cfg, _ = _toy_config(tmp_path)
         csv = tmp_path / "events.csv"
@@ -342,6 +353,8 @@ class TestTune:
         {"split": {"t_valid": 2}}, {"split": {"t_valid": 2, "test_count": 1}},
         {"split": {"valid_count": -1, "test_count": 1}},
         {"split": {"valid_count": 1, "test_count": -1}},
+        {"split": {"valid_count": 0, "test_count": 1}},
+        {"split": {"valid_count": 1, "test_count": 0}},
         {"dataset": {"path": 5}}, {"dataset": {"delimiter": 5}},
         {"dataset": {"delimiter": ";;"}}, {"dataset": {"header": "no"}},
         {"dataset": {"header": False}}, {"dataset": {"header": False, "user_col": "user",

@@ -138,3 +138,10 @@ def test_large_log_matches_reference():
     text = "user,item,timestamp\n" + "".join(
         f"u{u},i{i},{t}\n" for u, i, t in zip(users.tolist(), items.tolist(), times.tolist()))
     _assert_matches_reference(text.encode())
+
+
+def test_oversized_field_is_a_parse_error_naming_its_line():
+    # past the csv module's field limit (131072 characters), after a blank line
+    payload = b"user,item,timestamp\nu0,i0,0\n\nu0," + b"x" * 200_000 + b",1\nu1,i1,2\n"
+    with pytest.raises(ParseError, match=r"^line 4: field larger than field limit"):
+        ingest_log(io.BytesIO(payload))

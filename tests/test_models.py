@@ -351,6 +351,41 @@ def test_dense_build_matches_column_loop(kind, mode, k):
     assert not applies
 
 
+@pytest.mark.parametrize("kind, mode", [("ga", 3), ("la", 3), ("la", 4)])
+def test_attention_enters_the_window_mode_once(monkeypatch, kind, mode):
+    # the window mode takes A^T into its shift stack when it is built, and
+    # its applies, dense build and Gram multiply by no attention after that
+    if kind == "la":
+        tensor, factors, att, refs, rng = _la_operator_case(6, 5, 6, 3, (2, 3, 2, 2), 4)
+    else:
+        tensor = random_tensor(7, 6, 5, seed=2)
+        rng = np.random.default_rng(3)
+        u, v, w = _rand_factors(rng, [(7, 3), (6, 2), (5, 2)])
+        att = build_attention(5, f=1.0)
+        scaling = build_scaling(tensor.item_counts(), 0.5)
+        factors = {"U": u, "V": v, "W_A": att.apply(w)}
+        refs = dense_ga_unfoldings(tensor, scaling.d, att, u, v, w)
+    calls = []
+    for name in ("apply", "apply_transpose"):
+        method = getattr(AttentionMatrix, name)
+        monkeypatch.setattr(AttentionMatrix, name,
+                            lambda self, x, _name=name, _method=method:
+                            calls.append(_name) or _method(self, x))
+    if kind == "ga":
+        op = ga_mode_operator(tensor, factors, att, scaling, mode)
+    else:
+        op = la_mode_operator(tensor, factors, att, None, mode)
+    assert calls == (["apply_transpose"] if mode == 3 else [])
+    calls.clear()
+    ref = refs[mode]
+    x, y = rng.standard_normal(op.shape[1]), rng.standard_normal(op.shape[0])
+    assert np.allclose(op.matvec(x), ref @ x, atol=1e-12)
+    assert np.allclose(op.rmatvec(y), ref.T @ y, atol=1e-12)
+    assert np.abs(op.materialize() - ref).max() < 1e-12
+    assert np.abs(op.gram() - ref @ ref.T).max() < 1e-12
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind", ["la", "ga"])
 def test_sweeps_build_skew_blocks_without_fft(monkeypatch, kind):
     # K = 40: long windows build their skew blocks from the shift stack too
