@@ -57,12 +57,14 @@ def _se(values):
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-# Memory of one score block: its scores and their selection indices, 16 bytes
-# per (event, item). A fixed budget keeps the walk's extra memory independent
-# of the catalog and of the number of events (21 rows at 3000 items, 327 at
-# 200). Larger blocks were faster on a 3000-item catalog (8 MiB of scores:
-# 0.10 s against 0.14 s per 2000 events on 2 cores), but a 200-item walk then
-# fit in one block and its run peaked 3.3 MB (5 %) higher.
+# Memory of one score block's scores and their selection indices, 16 bytes
+# per (event, item): 21 rows at 3000 items, 327 at 200. The budget does not
+# count what a block's projection holds besides: GA/LA a (K - 1) x rows cell
+# index and rows x r projections, PureSVD each history's gathered rows of V
+# (about 33 x 100 doubles per row on svd-230k, 0.55 MB per 21-row block).
+# Larger blocks were faster on a 3000-item catalog (8 MiB of scores: 0.10 s
+# against 0.14 s per 2000 events on 2 cores), but a 200-item walk then fit in
+# one block and its run peaked 3.3 MB (5 %) higher.
 BLOCK_BYTES = 1 << 20
 
 

@@ -91,13 +91,16 @@ def _block_scorer(model):
     projects: PureSVD gives each distinct item 1, the attention models give
     the K - 1 most recent items the position profile tail, and popularity's
     row is its counts, so its bound is 0. The block is projected as
-    ``(H V) V^T`` (times ``D^-1`` and with ``d`` in ``H`` when restored),
-    which rounds differently from the per-history products. Both stay
-    within ``gamma_k |V| |V|^T |h|`` of exact arithmetic
-    (``gamma_k = k u / (1 - k u)``, k counting the roundings along one
-    score), and ``tau`` sums the two bounds, taking
-    ``max_j |V_j| |V_i| <= max_j ||V_j|| ||V_i||``. A model without a block
-    form gets an infinite bound, which sends every row to ``predict_next``.
+    ``(H V) V^T`` (times ``D^-1`` and with ``d`` in ``H`` when restored):
+    PureSVD sums each history's gathered rows of V, and the attention models
+    add ``profile[p] V[cells[p]]`` over the K - 1 positions p into rows x r
+    projections. Each side rounds at most r + m + 2 times along one score,
+    whatever the order of its m terms (len, or min(len, K - 1); a zero row
+    adds an exact 0), so both stay within ``gamma_k |V| |V|^T |h|`` of exact
+    arithmetic for k = r + 2 m + 3 (``gamma_k = k u / (1 - k u)``), and
+    ``tau`` sums the two bounds, taking ``max_j |V_j| |V_i| <= max_j ||V_j||
+    ||V_i||``. A model without a block form gets an infinite bound, which
+    sends every row to ``predict_next``.
     """
     kind = getattr(model, "kind", None)
     if kind not in ("mp", "svd", "global", "local"):
@@ -142,8 +145,9 @@ def _block_scorer(model):
             cells = np.full((len(profile), len(lengths)), model.n_items)
             cells[slot[kept], rows[kept]] = items[kept]
             lengths = np.minimum(lengths, len(profile))
-            columns = v_h.take(cells, axis=0).reshape(len(profile), len(lengths) * r)
-            hv = (profile @ columns).reshape(-1, r)
+            hv = np.zeros((len(lengths), r))
+            for weight, cell in zip(profile, cells):
+                hv += weight * v_h.take(cell, axis=0)
             h_norms = np.abs(profile) @ norms_h[cells]
         scores = hv @ v.T
         if d is not None:
@@ -238,6 +242,12 @@ def _position_cores(tensor, dvals, u, v):
     return cores
 
 
+def _core_gram(cores):
+    """``C C^T`` (K x K) of the flattened position cores."""
+    flat = cores.reshape(len(cores), -1)
+    return flat @ flat.T
+
+
 def la_mode_operator(tensor, factors, attention, cache, mode):
     """Compressed unfolding of the weighted hankelized tensor.
 
@@ -249,8 +259,8 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     entries to per-position cores C once (K x r2*r1, flattened) and apply
     through them and the shift stack S of W_S (mode 3, with A^T taken in once
     at build) or W_A (mode 4), O(K*(window or offsets)*r + K*r2*r1*r) per
-    call. They reuse ``factors["cores"]``, the :func:`_position_cores` of U
-    and V, when it is set, and build the cores otherwise.
+    call. They reuse ``factors["cores"]`` (the :func:`_position_cores` of U
+    and V) and its ``"core_gram"`` when set, and build them otherwise.
 
     Each operator builds its dense matrix directly (``dense``): modes 1/2 from
     per-(row, position) sums of the entries, contracted with the skew blocks
@@ -311,9 +321,9 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
         op.dense = dense
         return op
     if mode in (3, 4):
-        cores = factors.get("cores")
+        cores, core_gram = factors.get("cores"), factors.get("core_gram")
         if cores is None:
-            cores = _position_cores(tensor, dvals, factors["U"], factors["V"])
+            cores, core_gram = _position_cores(tensor, dvals, factors["U"], factors["V"]), None
         flat = cores.reshape(k, -1)
         # shift[:, :, a] is S_a: the unfolding is [S_0^T C, S_1^T C, ...] over
         # the flattened cores C. On mode 3 every shift[q] becomes A^T shift[q].
@@ -332,8 +342,8 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
             return np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
 
         def gram():
-            return np.tensordot(shift, np.tensordot(flat @ flat.T, shift, axes=([1], [0])),
-                                axes=([0, 2], [0, 2]))
+            c_ct = _core_gram(cores) if core_gram is None else core_gram
+            return np.tensordot(shift, np.tensordot(c_ct, shift, 1), axes=([0, 2], [0, 2]))
 
         op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
                             rmatvec=rmatvec)
@@ -435,18 +445,18 @@ class LocalAttentionTrainer:
         self.v, _ = self._svd(
             la_mode_operator(self.tensor, self._factors(), self.attention, cache, 2), r2, 2)
         # U and V are fixed for the rest of the sweep, so modes 3 and 4 share
-        # one set of position cores.
+        # one set of position cores and their Gram.
         cores = _position_cores(self.tensor, self.scaling.d[self.tensor.items],
                                 self.u, self.v)
-        self.w_l, svals = self._svd(
-            la_mode_operator(self.tensor, self._factors(cores), self.attention, None, 3),
-            r3, 3)
+        gram = {"core_gram": _core_gram(cores)}
+        self.w_l, svals = self._svd(la_mode_operator(
+            self.tensor, self._factors(cores) | gram, self.attention, None, 3), r3, 3)
         self.w_a = self.attention.apply(self.w_l)
         # With one offset W_S is a 1 x 1 orthonormal +-1: there is nothing to
         # solve, scores depend on W_S ** 2 only, and mode 3 already holds the fit.
         if self.k_s > 1:
-            self.w_s, svals = self._svd(
-                la_mode_operator(self.tensor, self._factors(cores), self.attention, None, 4),
+            self.w_s, svals = self._svd(la_mode_operator(
+                self.tensor, self._factors(cores) | gram, self.attention, None, 4),
                 self.ranks[3], 4)
         self.sweep_count += 1
         self.fit_history.append(float(np.sum(svals ** 2)))

@@ -17,8 +17,11 @@ from seqrec.evaluation import (
     grid_search,
     ndcg_single,
 )
+from seqrec.attention import build_attention, triangular_restore
 from seqrec.linalg import random_orthonormal
 from seqrec.models import (
+    GlobalAttentionModel,
+    LocalAttentionModel,
     SVDModel,
     build_scaling,
     predict_next,
@@ -176,6 +179,20 @@ def _tied_svd(seed):
     return SVDModel(v=v, scaling=build_scaling(np.ones(N_ITEMS), 1.0), regime="plain")
 
 
+def _attention_model(kind, regime, k, n_items, r2):
+    """A GA or LA model from random orthonormal factors, with popularity
+    scaling under ``restored``."""
+    window = k if kind == "global" else k // 3
+    att = build_attention(window, f=0.5)
+    w_l = random_orthonormal(window, 4, 1)
+    w_s = np.ones((1, 1)) if kind == "global" else random_orthonormal(k - window + 1, 3, 2)
+    counts = np.random.default_rng(3).integers(1, 50, size=n_items)
+    return (GlobalAttentionModel if kind == "global" else LocalAttentionModel)(
+        v=random_orthonormal(n_items, r2, 0), w_l=w_l, w_l_hat=triangular_restore(att, w_l),
+        w_s=w_s, attention=att, scaling=build_scaling(counts, 0.5), regime=regime,
+        ranks=(5, r2, 4) if kind == "global" else (5, r2, 4, 3), max_position=k)
+
+
 class TestBatchedWalk:
     """The block walk against the per-event reference walk in ``oracles``."""
 
@@ -239,6 +256,36 @@ class TestBatchedWalk:
                                             starts, ends, 6)
         for row, history in enumerate(histories):
             assert top[row].tolist() == predict_next(model, history, 6).tolist()
+
+    @pytest.mark.parametrize("regime", ["plain", "restored"])
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_attention_block_holds_no_history_gather(self, kind, regime):
+        # K = 60 and r2 = 30 over 40 items: a (K - 1) x rows x r2 gather of
+        # the block's rows of V would be 44 times its score array
+        import tracemalloc
+
+        k, n_items, r2, rows = 60, 40, 30, 300
+        model = _attention_model(kind, regime, k, n_items, r2)
+        rng = np.random.default_rng(4)
+        # histories shorter and longer than the K - 1 profile positions
+        histories = [rng.integers(n_items, size=int(rng.integers(1, 2 * k)))
+                     for _ in range(rows)]
+        assert min(map(len, histories)) < k - 1 < max(map(len, histories))
+        items = np.concatenate(histories)
+        indptr = np.concatenate(([0], np.cumsum([len(h) for h in histories])))
+        score = seqrec.evaluation._block_scorer(model)
+        tracemalloc.start()
+        try:
+            scores, tau = score(items, indptr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(tau).all()
+        # the scores plus a few rows x (K + r2) arrays, far below the 4.2 MB gather
+        assert peak < scores.nbytes + 4 * rows * (k + r2) * 8
+        top = seqrec.evaluation._rank_block(model, score, items, indptr[:-1], indptr[1:], 3)
+        for row, history in enumerate(histories):
+            assert top[row].tolist() == predict_next(model, history, 3).tolist()
 
     def test_shuffled_train_log_gives_the_same_tensor_and_report(self):
         train, test = _random_split(6, 23, True)

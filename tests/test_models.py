@@ -744,6 +744,34 @@ class TestLocalTrainer:
         for hist in ([0], [2, 5], [1, 3, 4, 7, 8]):
             assert np.array_equal(a.score_history(hist), b.score_history(hist))
 
+    def test_core_gram_formed_once_per_sweep(self, monkeypatch):
+        # at window < K modes 3 and 4 both solve from the cores' C C^T; the
+        # sweep forms it once, and operators left to themselves form it twice
+        tensor = random_tensor(10, 9, 6, seed=12, min_len=2)
+        calls = []
+        core_gram = seqrec.models._core_gram
+        monkeypatch.setattr(seqrec.models, "_core_gram",
+                            lambda cores: calls.append(1) or core_gram(cores))
+
+        def train():
+            calls.clear()
+            tr = LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2),
+                                       s=0.5, seed=4)
+            for _ in range(3):
+                tr.sweep()
+            return tr, len(calls)
+
+        shared, count = train()
+        assert count == 3
+        operator = seqrec.models.la_mode_operator
+        monkeypatch.setattr(seqrec.models, "la_mode_operator", lambda tensor, factors, *rest:
+                            operator(tensor, dict(factors, core_gram=None), *rest))
+        separate, count = train()
+        assert count == 3 + 2 * 3  # the sweep's, unused, and one per operator
+        assert shared.fit_history == separate.fit_history
+        for name in ("u", "v", "w_l", "w_s"):
+            assert np.array_equal(getattr(shared, name), getattr(separate, name))
+
     def test_window_and_rank_validation(self):
         tensor = random_tensor(4, 4, 3, seed=0)
         with pytest.raises(ValueError, match="window"):
