@@ -156,15 +156,17 @@ def _open_source(source):
 def _read_columns(text, delimiter, user_col, item_col, time_col, header):
     """Raw user ids, item ids and timestamps of the data rows, read once.
 
-    Returns ``(columns, first_line, blanks, fault)``: the three columns; the
-    line number of the first data row; for each skipped blank line, the number
-    of data rows read before it; and the error that ended the read early (a
-    short row, a field the csv module rejects or a corrupt stream) or None.
-    The rows read before a fault still have their timestamps checked first,
-    so the earliest bad line wins.
+    Returns ``(columns, first_line, skipped, fault)``: the three columns; the
+    line number of the first data row; for each physical line that starts no
+    data row (a blank line, or a later line of a row with quoted newlines), the
+    number of data rows begun before it; and the error that ended the read
+    early (a short row, a field the csv module rejects or a corrupt stream) or
+    None. A row is numbered by the line it starts on. The rows read before a
+    fault still have their timestamps checked first, so the earliest bad line
+    wins.
     """
     rows = csv.reader(text, delimiter=delimiter)
-    users, items, times, blanks = [], [], [], []
+    users, items, times, skipped = [], [], [], []
     first_line = 2 if header else 1
     fault = None
     try:
@@ -184,16 +186,21 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
         # a one-field row may be a whitespace-only line even when one field is enough
         short = max(needed, 2)
         add_user, add_item, add_time = users.append, items.append, times.append
+        line = first_line - 1
         for row in rows:
+            line += 1  # the line this row starts on
             if len(row) < short:
                 if not row or (len(row) == 1 and not row[0].strip()):
-                    blanks.append(len(times))
+                    skipped.extend([len(times)] * (rows.line_num - line + 1))
+                    line = rows.line_num
                     continue
                 if len(row) < needed:
-                    lineno = first_line + len(times) + len(blanks)
                     fault = ParseError(
-                        f"line {lineno}: expected at least {needed} columns, got {len(row)}")
+                        f"line {line}: expected at least {needed} columns, got {len(row)}")
                     break
+            if rows.line_num != line:  # quoted newlines: its later lines start no row
+                skipped.extend([len(times) + 1] * (rows.line_num - line))
+                line = rows.line_num
             add_user(row[u_idx])
             add_item(row[i_idx])
             add_time(row[t_idx])
@@ -203,7 +210,7 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
         fault = ParseError(f"line {rows.line_num}: {exc}")
     except UnicodeDecodeError as exc:
         fault = exc
-    return (users, items, times), first_line, blanks, fault
+    return (users, items, times), first_line, skipped, fault
 
 
 def _check_timestamp(text, lineno):
@@ -221,7 +228,7 @@ def _check_timestamp(text, lineno):
         raise ParseError(f"line {lineno}: timestamp {text!r} out of range")
 
 
-def _timestamps(raw_times, first_line, blanks):
+def _timestamps(raw_times, first_line, skipped):
     """Every raw timestamp as ``int(float(text))`` in one int64 array.
 
     A non-numeric, non-finite, negative or >= 2**63 value sends the column
@@ -235,7 +242,7 @@ def _timestamps(raw_times, first_line, blanks):
     # NaN fails both comparisons
     if values is None or not ((values >= 0) & (values < 2.0 ** 63)).all():
         rows = np.arange(len(raw_times))
-        lines = first_line + rows + np.searchsorted(blanks, rows, side="right")
+        lines = first_line + rows + np.searchsorted(skipped, rows, side="right")
         for text, lineno in zip(raw_times, lines.tolist()):
             _check_timestamp(text, lineno)
     return values.astype(np.int64)
@@ -266,9 +273,9 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
             if isinstance(col, bool) or not isinstance(col, numbers.Integral) or col < 0:
                 raise ParseError(f"column index must be an integer >= 0, got {col!r}")
     with _open_source(source) as text:
-        (raw_users, raw_items, raw_times), first_line, blanks, fault = _read_columns(
+        (raw_users, raw_items, raw_times), first_line, skipped, fault = _read_columns(
             text, delimiter, user_col, item_col, time_col, header)
-    times = _timestamps(raw_times, first_line, blanks)
+    times = _timestamps(raw_times, first_line, skipped)
     if fault is not None:
         raise fault
     n = len(raw_users)

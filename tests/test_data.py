@@ -52,6 +52,15 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 3"):
             ingest_log(_stream("user,item,timestamp\nu,i,1\nu,j,xyz\n"))
 
+    # a quoted newline makes its row span lines 3 and 4: the next row starts on line 5
+    @pytest.mark.parametrize("tail, message", [
+        ("u,i,xyz", "line 5: unparsable timestamp 'xyz'"),
+        ("u,i", "line 5: expected at least 3 columns, got 2"),
+    ], ids=["timestamp", "short-row"])
+    def test_lines_after_a_quoted_newline_are_physical(self, tail, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            ingest_log(_stream(f'user,item,timestamp\n\nu,"a\nb",1\n{tail}\n'))
+
     def test_empty_source(self):
         with pytest.raises(ParseError, match="empty"):
             ingest_log(_stream(""))

@@ -15,7 +15,10 @@ from seqrec.linalg import (
     DENSE_SVD_SIZE,
     LANCZOS_BASIS_FACTOR,
     MIN_LANCZOS_BASIS,
+    MISS_SEARCH_BASIS,
+    MISS_SEARCH_TOL,
     RETRY_BASIS_FACTOR,
+    SVD_TOL,
     ConvergenceError,
     ImplicitMatrix,
     random_orthonormal,
@@ -358,8 +361,8 @@ class TestLanczosBasisCap:
         capped, calls, state = _recorded(monkeypatch, solve, LANCZOS_BASIS_FACTOR)
         full, full_calls, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
         # the solve and the deflated search, each run once
-        assert calls == [(40, MIN_LANCZOS_BASIS), (1, MIN_LANCZOS_BASIS)]
-        assert full_calls == [(40, RETRY_BASIS_FACTOR * 40), (1, MIN_LANCZOS_BASIS)]
+        assert calls == [(40, MIN_LANCZOS_BASIS), (1, MISS_SEARCH_BASIS)]
+        assert full_calls == [(40, RETRY_BASIS_FACTOR * 40), (1, MISS_SEARCH_BASIS)]
         assert all(np.array_equal(a, b) for a, b in zip(capped, full))
         assert state == full_state
 
@@ -371,9 +374,22 @@ class TestLanczosBasisCap:
             fail=lambda k, maxiter: maxiter < max(RETRY_BASIS_FACTOR * k, MIN_LANCZOS_BASIS))
         full, _, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
         assert calls == [(40, MIN_LANCZOS_BASIS), (40, RETRY_BASIS_FACTOR * 40),
-                         (1, MIN_LANCZOS_BASIS)]
+                         (1, MISS_SEARCH_BASIS), (1, MIN_LANCZOS_BASIS)]
         assert all(np.array_equal(a, b) for a, b in zip(retried, full))
         assert state == full_state
+
+    @pytest.mark.parametrize("case", list(_CAP_CASES))
+    def test_search_that_outgrows_its_basis_is_redone_exactly(self, monkeypatch, case):
+        solve = _CAP_CASES[case]()
+        retried, calls, state = _recorded(
+            monkeypatch, solve, LANCZOS_BASIS_FACTOR,
+            fail=lambda k, maxiter: k == 1 and maxiter < MIN_LANCZOS_BASIS)
+        monkeypatch.setattr(seqrec.linalg, "MISS_SEARCH_BASIS", MIN_LANCZOS_BASIS)
+        direct, direct_calls, direct_state = _recorded(monkeypatch, solve, LANCZOS_BASIS_FACTOR)
+        assert calls == [(40, MIN_LANCZOS_BASIS), (1, MISS_SEARCH_BASIS), (1, MIN_LANCZOS_BASIS)]
+        assert direct_calls == [(40, MIN_LANCZOS_BASIS), (1, MIN_LANCZOS_BASIS)]
+        assert all(np.array_equal(a, b) for a, b in zip(retried, direct))
+        assert state == direct_state
 
     @pytest.mark.parametrize("shape, k, maxiters", [
         ((400, 350), 30, [300]),  # 5 k and 10 k are both at most the floor
@@ -388,6 +404,75 @@ class TestLanczosBasisCap:
             fail=lambda k, maxiter: True)
         assert calls == [(k, maxiter) for maxiter in maxiters]
         _assert_matches_oracle(a, u, s)
+
+
+def _requested(monkeypatch, answer=_SVDS):
+    """The (k, maxiter, tol, return_singular_vectors) of each svds call, as
+    the calls run; ``answer`` answers them."""
+    requests = []
+
+    def recording(op, k, **kwargs):
+        requests.append((k, kwargs["maxiter"], kwargs["tol"],
+                         kwargs["return_singular_vectors"]))
+        return answer(op, k=k, **kwargs)
+
+    monkeypatch.setattr(seqrec.linalg, "svds", recording)
+    return requests
+
+
+class TestPropackRequests:
+    """Each PROPACK run asks for what its caller reads: a solve, and the fetch
+    of a missed pair, for left singular vectors; the miss search for its
+    values alone, on a MISS_SEARCH_BASIS basis."""
+
+    def test_puresvd_solve(self, monkeypatch):
+        solve = _puresvd_solve()  # its 350 x 400 operator is past DENSE_SVD_SIZE
+        requests = _requested(monkeypatch)
+        solve()
+        assert requests == [(40, MIN_LANCZOS_BASIS, SVD_TOL, "u"),
+                            (1, MISS_SEARCH_BASIS, MISS_SEARCH_TOL, False)]
+
+    def test_missed_copies_are_fetched_as_left_pairs(self, monkeypatch):
+        # the first solve drops two of the three copies of sigma = 7: each
+        # search finds one, a one-pair solve fetches it, and a last search
+        # finds none
+        q1, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((60, 45)))
+        q2, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((45, 45)))
+        sigma = np.array([10.0, 9, 8, 7, 7, 7] + list(np.linspace(5, 1, 39)))
+        keep = [0, 1, 2, 3, 6, 7]
+
+        def missing_two_copies(op, k, **kwargs):
+            if k == 1:
+                return _SVDS(op, k=k, **kwargs)
+            return q1[:, keep], sigma[keep], None
+
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        requests = _requested(monkeypatch, missing_two_copies)
+        truncated_svd(_iterative_only((q1 * sigma) @ q2.T), 6, seed=0)
+        search = (1, MISS_SEARCH_BASIS, MISS_SEARCH_TOL, False)
+        fetch = (1, MIN_LANCZOS_BASIS, SVD_TOL, "u")
+        assert requests == [(6, MIN_LANCZOS_BASIS, SVD_TOL, "u"),
+                            search, fetch, search, fetch, search]
+
+    @pytest.mark.parametrize("shape", [(70, 45), (45, 70)], ids=["tall", "wide"])
+    def test_left_vectors_alone_equal_the_full_request(self, shape):
+        # r = rank + 1, so that PROPACK draws restart vectors from the generator
+        op = _implicit_from_dense(_low_rank(*shape, 5, seed=16)).to_linear_operator()
+
+        def run(vectors):
+            rng = np.random.default_rng(5)
+            v0 = rng.standard_normal(shape[0])
+            start = rng.bit_generator.state
+            out = _SVDS(op, k=6, v0=v0, tol=SVD_TOL, maxiter=MIN_LANCZOS_BASIS,
+                        solver="propack", return_singular_vectors=vectors, rng=rng)
+            assert rng.bit_generator.state != start
+            return out, rng.bit_generator.state
+
+        (u, s, vh), state = run("u")
+        (u_full, s_full, _), full_state = run(True)
+        assert vh is None
+        assert np.array_equal(u, u_full) and np.array_equal(s, s_full)
+        assert state == full_state
 
 
 def _with_gram(a):
