@@ -20,6 +20,7 @@ from .linalg import ConvergenceError
 from .models import (
     GlobalAttentionTrainer,
     LocalAttentionTrainer,
+    feasible_ranks,
     save_model,
     # cli calls neither train_gasatf nor train_lasatf; seqbench's tracer patches them here
     train_gasatf,
@@ -255,17 +256,12 @@ def _grid_space(kind, config, m, n_items, k):
         if cap:
             top = cap(m, n_items, k)
             values[param] = [v for v in values[param] if v <= top] or [top]
-    constraints = (
-        lambda p: p["r3"] < p["window"],
-        lambda p: p["r4"] < p["window"],
-        lambda p: p["r4"] <= k - p["window"] + 1,
-    ) if "window" in values else ()
-    # A Tucker rank is at most the product of the other ranks, the column
-    # count of its mode's compressed unfolding (GA's fourth rank is 1).
-    ranks = [key for key in ("r1", "r2", "r3", "r4") if key in values]
-    constraints += (lambda p: all(p[key] <= math.prod(p[r] for r in ranks if r != key)
-                                  for key in ranks),)
-    return GridSpace(values=values, constraints=constraints, budget=config["budget"])
+    def feasible(p):  # as the trainer reads it: GA is LA at window = K with r4 = 1
+        window = p.get("window", k)
+        return feasible_ranks((m, n_items, window, k - window + 1),
+                              tuple(p[key] for key in ("r1", "r2", "r3", "r4") if key in p))
+
+    return GridSpace(values=values, constraints=(feasible,), budget=config["budget"])
 
 
 def _factory(kind, train_log, seed, k):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -394,6 +395,11 @@ class LocalAttentionModel:
         return _project_scores(self, recent, profile[len(profile) - len(recent):])
 
 
+def feasible_ranks(dims, ranks):
+    """Tucker ranks fit dims: each r ≤ its mode's size and the others' product (r² ≤ Π)."""
+    return all(r <= d and r * r <= math.prod(ranks) for r, d in zip(ranks, dims))
+
+
 class LocalAttentionTrainer:
     """Alternating sweeps over the four modes of the hankelized tensor; each
     sweep builds one skew-block cache of W_A and W_S, which modes 1/2 share."""
@@ -407,7 +413,7 @@ class LocalAttentionTrainer:
             raise ValueError(f"window must be in [1, {k}], got {window}")
         r1, r2, r3, r4 = ranks
         k_s = k - window + 1
-        if r1 > m or r2 > n or r3 > window or r4 > k_s:
+        if not feasible_ranks((m, n, window, k_s), (r1, r2, r3, r4)):
             raise ValueError(f"ranks {ranks} infeasible for shape {(m, n, window, k_s)}")
         if attention.size != window:
             raise ValueError("attention size must equal the window size")

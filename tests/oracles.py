@@ -88,10 +88,8 @@ def _read_rows_reference(text, delimiter, user_col, item_col, time_col, header):
     checking each row as it is read."""
     from seqrec.data import MAX_TIMESTAMP, ParseError
 
-    rows = iter(csv.reader(text, delimiter=delimiter))
-    lineno = 0
+    rows = csv.reader(text, delimiter=delimiter)
     if header:
-        lineno += 1
         try:
             names = next(rows)
         except StopIteration:
@@ -107,8 +105,10 @@ def _read_rows_reference(text, delimiter, user_col, item_col, time_col, header):
 
     raw_users, raw_items, raw_times = [], [], []
     needed = max(u_idx, i_idx, t_idx) + 1
+    last = rows.line_num
     for row in rows:
-        lineno += 1
+        # a row is numbered by the physical line it starts on
+        lineno, last = last + 1, rows.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < needed:

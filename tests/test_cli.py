@@ -2,6 +2,7 @@
 
 import gzip
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ import seqrec.data
 import seqrec.evaluation
 import seqrec.linalg
 import seqrec.models
-from helpers import MARKOV_CYCLE, MARKOV_PHASES
+from helpers import MARKOV_CYCLE, MARKOV_PHASES, make_log
 from seqrec.cli import PRESETS, load_config, main
 from seqrec.data import build_positional_tensor, ingest_log, load_split
 from seqrec.evaluation import evaluate
@@ -263,8 +264,9 @@ class TestTune:
         assert best["config"]["rank"] in (1, 2)
 
     def test_window_rank_constraint_excludes_points(self, tmp_path):
+        # r1 = r2 = 3 lets every r3 up to 9 pass the Tucker rule: the window decides
         model = {"kind": "local", "window_values": [5],
-                 "grid": {"r1": [2], "r2": [2], "r3": [1, 2, 5, 10], "r4": [1],
+                 "grid": {"r1": [3], "r2": [3], "r3": [1, 2, 5, 10], "r4": [1],
                           "f": [0.0], "s": [1.0], "regime": ["plain"]}}
         cfg, out = _toy_config(tmp_path, K=6, model=model, max_sweeps=2,
                                patience=1)
@@ -272,7 +274,7 @@ class TestTune:
         assert main(["--config", str(cfg), "tune"]) == 0
         records = [json.loads(l) for l in
                    (out / "grid_log.jsonl").read_text().splitlines()]
-        assert sorted(r["config"]["r3"] for r in records) == [1, 2]
+        assert sorted(r["config"]["r3"] for r in records) == [1, 2, 5]
 
     @pytest.mark.parametrize("model, feasible", [
         ({"kind": "local", "window_values": [2],
@@ -289,6 +291,39 @@ class TestTune:
         records, _ = _tune_outputs(out)
         keys = [key for key in ("r1", "r2", "r3", "r4") if key in model["grid"]]
         assert [tuple(r["config"][key] for key in keys) for r in records] == feasible
+
+    # (users, items, K): the toy log's shape, and one whose K leaves room for r4 >= window
+    @pytest.mark.parametrize("m, n_items, k", [(3, 4, 3), (2, 3, 5)])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_grid_admits_exactly_the_points_the_trainer_builds(self, kind, m, n_items, k):
+        rng = np.random.default_rng(0)
+        log = make_log([(u, int(rng.integers(n_items)), t) for u in range(m) for t in range(k)],
+                       n_users=m, n_items=n_items)
+        # window 1, r3 = window, r4 >= window and a rank above the others' product
+        ranks = ("r1", "r2", "r3", "r4") if kind == "local" else ("r1", "r2", "r3")
+        grid = {**dict.fromkeys(ranks, [1, 2, 3, 5]), "f": [0.5], "s": [0.2],
+                "regime": ["plain"]}
+        model, lists = {"kind": kind, "grid": grid}, grid
+        if kind == "local":
+            model["window_values"] = list(range(1, k + 1))
+            lists = {"window": model["window_values"], **grid}
+        config = {"model": model, "budget": 10**6}
+        admitted = {tuple(sorted(p.items()))
+                    for p in seqrec.cli._grid_space(kind, config, m, n_items, k).points()}
+        build = seqrec.cli._factory(kind, log, 0, k)
+        built = 0
+        for values in itertools.product(*lists.values()):
+            point = dict(zip(lists, values))
+            try:
+                trainer = build(point)
+            except ValueError as exc:
+                assert "infeasible" in str(exc)
+                assert tuple(sorted(point.items())) not in admitted
+                continue
+            assert tuple(sorted(point.items())) in admitted
+            trainer.sweep()
+            built += 1
+        assert built == len(admitted)
 
     def test_rerun_same_seed_is_identical(self, tmp_path):
         cfg, out = _toy_config(tmp_path, model=SVD_GRID)

@@ -13,8 +13,9 @@ from oracles import ingest_reference
 from seqrec.data import ParseError, ingest_log
 
 COLUMNS = ("user", "item", "timestamp")
-# ids that need csv quoting under one delimiter or the other
-IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7"]
+# ids that need csv quoting under one delimiter or the other; "a\nb" makes
+# its row span two physical lines
+IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7", "a\nb"]
 GOOD_TIMES = ["0", "1", "2", "2", "3", "5.7", "1e3", " 4 ", "-0.5", "1_0", "9.2e18"]
 BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808"]
 
@@ -88,6 +89,13 @@ class TestMatchesReference:
             return "u,i\n" if value is None else f"u,i,{value}\n"
 
         payload = ("user,item,timestamp\nu,i,1\n\n" + row(first) + "u,j,2\n" + row(second)).encode()
+        kind, message = _assert_matches_reference(payload)
+        assert kind == "ParseError" and message.startswith("line 4:")
+
+    # a row after a quoted newline is named by the physical line it starts on
+    @pytest.mark.parametrize("bad", ["u,i,xyz", "u,i"], ids=["bad-timestamp", "short-row"])
+    def test_bad_line_after_a_quoted_newline(self, bad):
+        payload = f'user,item,timestamp\nu,"a\nb",1\n{bad}\n'.encode()
         kind, message = _assert_matches_reference(payload)
         assert kind == "ParseError" and message.startswith("line 4:")
 

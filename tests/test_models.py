@@ -779,6 +779,24 @@ class TestLocalTrainer:
         with pytest.raises(ValueError, match="infeasible"):
             train_lasatf(tensor, window=2, f=0.0, ranks=(2, 2, 1, 3))
 
+    @pytest.mark.parametrize("train", [
+        lambda tensor: train_lasatf(tensor, window=2, f=0.0, ranks=(3, 1, 1, 1)),
+        lambda tensor: train_gasatf(tensor, f=0.0, ranks=(3, 1, 1)),
+    ], ids=["local", "global"])
+    def test_tucker_infeasible_ranks_fail_before_any_sweep(self, monkeypatch, train):
+        # r1 = 3 fits the 3 users but exceeds the product of the other ranks
+        calls = []
+        sweep = LocalAttentionTrainer.sweep
+
+        def counted(self):
+            calls.append(self)
+            sweep(self)
+
+        monkeypatch.setattr(LocalAttentionTrainer, "sweep", counted)
+        with pytest.raises(ValueError, match="infeasible"):
+            train(random_tensor(3, 4, 3, seed=0))
+        assert not calls
+
     def test_score_matches_skew_diagonal_oracle(self):
         # gamma at position q is the bilinear form of the one-hot Hankel slice
         tensor = random_tensor(9, 8, 5, seed=10, min_len=2)
