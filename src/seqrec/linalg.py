@@ -3,6 +3,8 @@ shift stack that every Hankel (skew-diagonal) product is built from."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +104,13 @@ def svds(*args, **kwargs):
     return svds(*args, **kwargs)
 
 
-def _propack(op, k, rng, search=False):
+def _propack(op, k, rng, record, search=False):
     """PROPACK's top-k left singular pairs on a LANCZOS_BASIS_FACTOR * k basis,
     or with ``search`` only its singular values, at MISS_SEARCH_TOL on a
     MISS_SEARCH_BASIS basis. A run that raises there is redone from the same
     generator state on the larger RETRY_BASIS_FACTOR * k (a search's
-    MIN_LANCZOS_BASIS) basis, so the retry repeats that run exactly."""
+    MIN_LANCZOS_BASIS) basis, so the retry repeats that run exactly; it
+    counts in ``record["retries"]``."""
     if search:
         tol, vectors, first, retry = MISS_SEARCH_TOL, False, MISS_SEARCH_BASIS, MIN_LANCZOS_BASIS
     else:
@@ -126,6 +129,7 @@ def _propack(op, k, rng, search=False):
         if min(retry, min(op.shape) + 1) <= first:  # scipy clips both to min + 1
             raise
         rng.bit_generator.state = state
+        record["retries"] += 1
         out = run(retry)
     if search:
         return out
@@ -145,10 +149,13 @@ def _deflated(op, u):
                           rmatvec=lambda y: op.rmatvec(project(y)))
 
 
-def _checked_propack(op, r, rng):
-    """PROPACK's top-r left singular pairs, checked; LinAlgError when they
-    cannot be trusted."""
-    u, s = _propack(op, r, rng)
+def _checked_propack(op, r, rng, record):
+    """PROPACK's top-r left singular pairs, checked, and the deflated search's
+    estimate of the next singular value (None at r = min); LinAlgError when
+    they cannot be trusted. Sets ``record["phase"]`` to the check, then the
+    miss search, as each begins, and counts each miss found."""
+    u, s = _propack(op, r, rng, record)
+    record["phase"] = "check"
     # Ghost copies of a singular vector show as drift; a vector that mixes
     # singular directions shows as a residual of A A^T U c = U s^2 c.
     drift = np.abs(u.T @ u - np.eye(r)).max()
@@ -161,32 +168,51 @@ def _checked_propack(op, r, rng):
         u, _ = np.linalg.qr(u)
     # A single-vector Lanczos run can find one copy of a repeated singular
     # value; the deflated operator's top triplet is the largest one missed.
+    record["phase"], after = "miss", None
     while r < min(op.shape):
         deflated = _deflated(op, u)
-        if _propack(deflated, 1, rng, search=True)[0] <= s[-1] + 1e-6 * s[0]:
+        after = _propack(deflated, 1, rng, record, search=True)[0]
+        if after <= s[-1] + 1e-6 * s[0]:
             break
-        u_miss, s_miss = _propack(deflated, 1, rng)
+        record["misses"] += 1
+        u_miss, s_miss = _propack(deflated, 1, rng, record)
         u, s = np.column_stack([u[:, :-1], u_miss]), np.append(s[:-1], s_miss)
         order = np.argsort(s)[::-1]
         u, s = u[:, order], s[order]
-    return u, s
+    return u, s, after
 
 
 def _gram_pairs(g, r, a=None):
-    """Leading r left singular pairs from the eigensolve of a Gram matrix:
-    directly for g = A A^T (``a`` None), and through U = qr(A Q_r) for
-    g = A^T A, whose top eigenvectors Q_r are the right singular vectors."""
+    """Leading r left singular pairs from the eigensolve of a Gram matrix,
+    and sqrt(lambda_{r+1}) (None past the last eigenvalue): directly for
+    g = A A^T (``a`` None), and through U = qr(A Q_r) for g = A^T A, whose
+    top eigenvectors Q_r are the right singular vectors."""
     try:
         lam, q = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
-    lam, q = lam[::-1][:r], q[:, ::-1][:, :r]
+    lam, q = lam[::-1], q[:, ::-1][:, :r]
     if a is not None:
         q, _ = np.linalg.qr(a @ q)
-    return q, np.sqrt(np.maximum(lam, 0.0))
+    after = math.sqrt(max(lam[r], 0.0)) if r < len(lam) else None
+    return q, np.sqrt(np.maximum(lam[:r], 0.0)), after
 
 
-def truncated_svd(y, r, seed=0, exact=False):
+def _counted(y, record):
+    """``y`` with each matvec and rmatvec counted in ``record["applies"]``,
+    under the solve's current ``record["phase"]``."""
+    applies = record["applies"]
+
+    def count(apply):
+        def counted(x):
+            applies[record["phase"]] += 1
+            return apply(x)
+        return counted
+
+    return ImplicitMatrix(y.shape, count(y.matvec), count(y.rmatvec), y.dense, y.gram)
+
+
+def truncated_svd(y, r, seed=0, exact=False, record=None):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
@@ -199,26 +225,61 @@ def truncated_svd(y, r, seed=0, exact=False):
     is PROPACK's, seeded by ``seed``. ``exact``, and PROPACK failures at
     r >= min - 1 (a breakdown at the operator's rank) or on at most
     DENSE_FALLBACK_SIZE entries, use a dense SVD.
+
+    A ``record`` dict is filled with how the solve ran, and changes nothing
+    of it: ``shape``; ``path`` ("operator-gram", "matrix-gram", "propack",
+    "dense-fallback" or "exact"); ``applies`` of the operator, split into
+    "solve", "check" and "miss" (the search for missed triplets and the
+    fetch of each); PROPACK basis ``retries``; ``misses`` found;
+    ``seconds``; ``sigma1``; ``fit``, the sum of s ** 2; and ``gap``,
+    s[r-1] / s[r], or None where the path has no s[r]. The Gram paths read
+    s[r] from the next eigenvalue and the dense SVD from its own values;
+    PROPACK reads the deflated search's, an estimate to MISS_SEARCH_TOL only.
+    A solve that raises leaves its path, applies, retries and seconds.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
+    start = time.perf_counter()
+    tally = {} if record is None else record
+    tally.update(shape=(rows, cols), path=None, retries=0, misses=0, phase="solve",
+                 applies={"solve": 0, "check": 0, "miss": 0})
+    if record is not None:
+        y = _counted(y, record)
+    try:
+        u, s, after = _solve(y, r, seed, exact, tally)
+    finally:
+        del tally["phase"]
+        tally["seconds"] = time.perf_counter() - start
+    gap = None if after is None else float(s[-1] / after) if after > 0 else math.inf
+    tally.update(sigma1=float(s[0]), fit=float(np.sum(s ** 2)), gap=gap)
+    return u, s
+
+
+def _solve(y, r, seed, exact, record):
+    """``truncated_svd``'s (U, s) and next singular value, from the path it picks."""
+    rows, cols = y.shape
     if not exact:
         if y.gram is not None:
+            record["path"] = "operator-gram"
             return _gram_pairs(y.gram(), r)
         if min(rows, cols) <= DENSE_SVD_DIM or rows * cols <= DENSE_SVD_SIZE:
+            record["path"] = "matrix-gram"
             a = y.materialize()
             return _gram_pairs(a @ a.T, r) if rows <= cols else _gram_pairs(a.T @ a, r, a)
+        record["path"] = "propack"
         try:
-            return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed))
+            return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed),
+                                    record)
         except np.linalg.LinAlgError as exc:
             if r < min(rows, cols) - 1 and rows * cols > DENSE_FALLBACK_SIZE:
                 raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+    record["path"], record["phase"] = ("exact" if exact else "dense-fallback"), "solve"
     try:
         u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
-    return u[:, :r], s[:r]
+    return u[:, :r], s[:r], s[r] if r < len(s) else None
 
 
 def _shift_stack(w, k):

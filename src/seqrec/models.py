@@ -401,8 +401,10 @@ def feasible_ranks(dims, ranks):
 
 
 class LocalAttentionTrainer:
-    """Alternating sweeps over the four modes of the hankelized tensor; each
-    sweep builds one skew-block cache of W_A and W_S, which modes 1/2 share."""
+    """Alternating sweeps over the modes of the hankelized tensor: one solve
+    per entry of ``modes``, whose ``truncated_svd`` record ``solves`` keeps
+    (a solve that raised included). Each sweep builds one skew-block cache of
+    W_A and W_S, which modes 1/2 share."""
 
     model_class = LocalAttentionModel
 
@@ -422,6 +424,10 @@ class LocalAttentionTrainer:
         self.k_s = k_s
         self.attention = attention
         self.ranks = (r1, r2, r3, r4)
+        # (mode, rank) per solve. With one offset W_S is a 1 x 1 orthonormal
+        # +-1: there is nothing to solve, scores depend on W_S ** 2 only, and
+        # mode 3 already holds the fit.
+        self.modes = list(enumerate(self.ranks, 1))[:4 if k_s > 1 else 3]
         self.scaling = build_scaling(tensor.item_counts(), s, neutral_missing=True)
         self.seed = seed
         self.regime = regime
@@ -434,38 +440,32 @@ class LocalAttentionTrainer:
         self.u = None
         self.sweep_count = 0
         self.fit_history = []
-
-    def _svd(self, op, r, tag):
-        return truncated_svd(op, r, seed=self.seed + 1000 + 10 * self.sweep_count + tag,
-                             exact=self.exact_svd)
+        self.solves = []
 
     def _factors(self, cores=None):
         return {"U": self.u, "V": self.v, "W_A": self.w_a, "W_S": self.w_s,
                 "scaling": self.scaling, "cores": cores}
 
     def sweep(self):
-        r1, r2, r3 = self.ranks[:3]
-        cache = skew_block_cache(self.w_a, self.w_s)
-        self.u, _ = self._svd(
-            la_mode_operator(self.tensor, self._factors(), self.attention, cache, 1), r1, 1)
-        self.v, _ = self._svd(
-            la_mode_operator(self.tensor, self._factors(), self.attention, cache, 2), r2, 2)
-        # U and V are fixed for the rest of the sweep, so modes 3 and 4 share
-        # one set of position cores and their Gram.
-        cores = _position_cores(self.tensor, self.scaling.d[self.tensor.items],
-                                self.u, self.v)
-        gram = {"core_gram": _core_gram(cores)}
-        self.w_l, svals = self._svd(la_mode_operator(
-            self.tensor, self._factors(cores) | gram, self.attention, None, 3), r3, 3)
-        self.w_a = self.attention.apply(self.w_l)
-        # With one offset W_S is a 1 x 1 orthonormal +-1: there is nothing to
-        # solve, scores depend on W_S ** 2 only, and mode 3 already holds the fit.
-        if self.k_s > 1:
-            self.w_s, svals = self._svd(la_mode_operator(
-                self.tensor, self._factors(cores) | gram, self.attention, None, 4),
-                self.ranks[3], 4)
+        cache, cores, core_gram = skew_block_cache(self.w_a, self.w_s), None, None
+        for mode, rank in self.modes:
+            self.solves.append({"sweep": self.sweep_count + 1, "mode": mode})
+            op = la_mode_operator(self.tensor, self._factors(cores) | {"core_gram": core_gram},
+                                  self.attention, cache, mode)
+            seed = self.seed + 1000 + 10 * self.sweep_count + mode
+            factor, _ = truncated_svd(op, rank, seed=seed, exact=self.exact_svd,
+                                      record=self.solves[-1])
+            setattr(self, ("u", "v", "w_l", "w_s")[mode - 1], factor)
+            if mode == 2:
+                # U and V are fixed for the rest of the sweep, so modes 3 and 4
+                # share one set of position cores and their Gram.
+                cores = _position_cores(self.tensor, self.scaling.d[self.tensor.items],
+                                        self.u, self.v)
+                core_gram = _core_gram(cores)
+            elif mode == 3:
+                self.w_a = self.attention.apply(self.w_l)
         self.sweep_count += 1
-        self.fit_history.append(float(np.sum(svals ** 2)))
+        self.fit_history.append(self.solves[-1]["fit"])
 
     def snapshot(self):
         return self.model_class(

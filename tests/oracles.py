@@ -85,10 +85,20 @@ def dense_hooi(dense, ranks, init, sweeps):
 
 def _read_rows_reference(text, delimiter, user_col, item_col, time_col, header):
     """Raw user ids, item ids and timestamps of every non-blank data row,
-    checking each row as it is read."""
-    from seqrec.data import MAX_TIMESTAMP, ParseError
+    checking each row as it is read. A field the csv module rejects is a
+    ParseError naming the line the reader stopped on."""
+    from seqrec.data import ParseError
 
     rows = csv.reader(text, delimiter=delimiter)
+    try:
+        return _checked_rows_reference(rows, user_col, item_col, time_col, header)
+    except csv.Error as exc:
+        raise ParseError(f"line {rows.line_num}: {exc}") from None
+
+
+def _checked_rows_reference(rows, user_col, item_col, time_col, header):
+    from seqrec.data import MAX_TIMESTAMP, ParseError
+
     if header:
         try:
             names = next(rows)

@@ -99,6 +99,15 @@ class TestMatchesReference:
         kind, message = _assert_matches_reference(payload)
         assert kind == "ParseError" and message.startswith("line 4:")
 
+    # a field past the csv module's 131072-character limit ends the read at
+    # the line the reader stopped on
+    @pytest.mark.parametrize("before, line", [("", 2), ("u0,i0,0\n\n", 4), ('u,"a\nb",1\n', 4)],
+                             ids=["first-row", "after-blank-line", "after-quoted-newline"])
+    def test_oversized_field(self, before, line):
+        payload = f"user,item,timestamp\n{before}u,{'x' * 200_000},1\nu1,i1,2\n".encode()
+        assert _assert_matches_reference(payload) == (
+            "ParseError", f"line {line}: field larger than field limit (131072)")
+
     # a fault that stops the read far past the bad line: a cut gzip stream,
     # bytes that are not UTF-8, a field over the csv module's size limit
     @pytest.mark.parametrize("tail", ["cut", b"\xff\n", b"u," + b"x" * 200_000 + b",1\n"],

@@ -541,6 +541,178 @@ class TestGramSolve:
             truncated_svd(_with_gram(np.eye(4)), 2)
 
 
+def _counting(a):
+    """Implicit view of ``a`` and the running count of its applies."""
+    count = [0]
+
+    def apply(m):
+        def counted(x):
+            count[0] += 1
+            return m @ x
+        return counted
+
+    return ImplicitMatrix(a.shape, apply(a), apply(a.T)), count
+
+
+def _recorded_solve(y, r, **kwargs):
+    """``truncated_svd(y, r)`` and its record, after checking that the record
+    leaves U and s bitwise as they are without it, and that it holds the
+    operator's shape, the leading sigma and the fit of what it returned."""
+    u, s = truncated_svd(y, r, **kwargs)
+    record = {}
+    u_rec, s_rec = truncated_svd(y, r, record=record, **kwargs)
+    assert np.array_equal(u, u_rec) and np.array_equal(s, s_rec)
+    assert record["shape"] == y.shape and record["seconds"] >= 0
+    assert record["sigma1"] == s[0] and record["fit"] == float(np.sum(s ** 2))
+    return u, s, record
+
+
+def _gap(a, r):
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[r - 1] / s[r]
+
+
+class TestSolveRecord:
+    """``truncated_svd`` fills a record with the path it took, the applies of
+    each phase, PROPACK's basis retries and misses, and the gap after s[r-1]."""
+
+    def test_operator_gram(self):
+        a = np.random.default_rng(21).standard_normal((6, 30))
+        _, _, record = _recorded_solve(_with_gram(a), 3)
+        assert record["path"] == "operator-gram"
+        assert record["applies"] == {"solve": 0, "check": 0, "miss": 0}
+        assert record["gap"] == pytest.approx(_gap(a, 3), rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("built", [True, False], ids=["dense", "applies"])
+    def test_matrix_gram(self, shape, built):
+        a = np.random.default_rng(22).standard_normal(shape)
+        y, count = _counting(a)
+        if built:
+            y.dense = lambda: a
+        _, _, record = _recorded_solve(y, 5)
+        assert record["path"] == "matrix-gram"
+        # materializing takes one apply per row or column, whichever is fewer
+        applies = 0 if built else min(shape)
+        assert record["applies"] == {"solve": applies, "check": 0, "miss": 0}
+        assert count[0] == 2 * applies
+        assert record["gap"] == pytest.approx(_gap(a, 5), rel=1e-10)
+        assert (record["retries"], record["misses"]) == (0, 0)
+
+    def test_matrix_gram_at_full_rank_has_no_gap(self):
+        a = np.random.default_rng(23).standard_normal((12, 40))
+        _, _, record = _recorded_solve(_implicit_from_dense(a), 12)
+        assert record["gap"] is None
+
+    def _propack_runs(self, monkeypatch, count, fail=lambda k, maxiter: False):
+        """(k, maxiter, applies) of each svds call."""
+        runs = []
+
+        def counted(op, k, **kwargs):
+            before = count[0]
+            try:
+                if fail(k, kwargs["maxiter"]):
+                    raise np.linalg.LinAlgError(f"k={k} singular triplets did not converge")
+                return _SVDS(op, k=k, **kwargs)
+            finally:
+                runs.append((k, kwargs["maxiter"], count[0] - before))
+
+        monkeypatch.setattr(seqrec.linalg, "svds", counted)
+        return runs
+
+    def test_propack(self, monkeypatch):
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        a = np.random.default_rng(24).standard_normal((70, 45))
+        y, count = _counting(a)
+        runs = self._propack_runs(monkeypatch, count)
+        u, s, record = _recorded_solve(y, 6, seed=2)
+        _assert_matches_oracle(a, u, s)
+        runs = runs[len(runs) // 2:]  # the recorded solve's
+        assert record["path"] == "propack"
+        assert [k for k, _, _ in runs] == [6, 1]
+        # the check applies A A^T once
+        assert record["applies"] == {"solve": runs[0][2], "check": 2, "miss": runs[1][2]}
+        assert count[0] == 2 * sum(record["applies"].values())
+        assert (record["retries"], record["misses"]) == (0, 0)
+        # the search's sigma, an estimate to MISS_SEARCH_TOL
+        assert record["gap"] == pytest.approx(_gap(a, 6), rel=MISS_SEARCH_TOL)
+
+    def test_propack_misses(self, monkeypatch):
+        # the first solve drops two of the three copies of sigma = 7: two
+        # searches find one each, and each is fetched by a one-pair solve
+        q1, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((60, 45)))
+        q2, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((45, 45)))
+        sigma = np.array([10.0, 9, 8, 7, 7, 7] + list(np.linspace(5, 1, 39)))
+        keep = [0, 1, 2, 3, 6, 7]
+
+        def missing_two_copies(op, k, **kwargs):
+            if k == 1:
+                return _SVDS(op, k=k, **kwargs)
+            return q1[:, keep], sigma[keep], None
+
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        monkeypatch.setattr(seqrec.linalg, "svds", missing_two_copies)
+        _, _, record = _recorded_solve(_implicit_from_dense((q1 * sigma) @ q2.T), 6, seed=0)
+        assert record["path"] == "propack" and record["misses"] == 2
+        assert record["applies"]["solve"] == 0 and record["applies"]["check"] == 2
+        assert record["gap"] == pytest.approx(7 / 5, rel=MISS_SEARCH_TOL)
+
+    def test_propack_basis_retry(self, monkeypatch):
+        # a 20-vector first basis, whose run raises, and a 30-vector retry
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        monkeypatch.setattr(seqrec.linalg, "MIN_LANCZOS_BASIS", 20)
+        q1, _ = np.linalg.qr(np.random.default_rng(25).standard_normal((70, 45)))
+        q2, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((45, 45)))
+        a = (q1 * 2.0 ** -np.arange(45)) @ q2.T
+        y, count = _counting(a)
+        runs = self._propack_runs(monkeypatch, count, fail=lambda k, maxiter: maxiter == 20)
+        u, s, record = _recorded_solve(y, 3, seed=4)
+        _assert_matches_oracle(a, u, s)
+        runs = runs[len(runs) // 2:]
+        assert [(k, maxiter) for k, maxiter, _ in runs] == [(3, 20), (3, 30), (1, 100)]
+        assert record["path"] == "propack" and record["retries"] == 1
+        assert record["applies"] == {"solve": runs[0][2] + runs[1][2], "check": 2,
+                                     "miss": runs[2][2]}
+
+    def test_dense_fallback(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("k=3 singular triplets did not converge")
+
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        monkeypatch.setattr(seqrec.linalg, "svds", failing)
+        a = np.random.default_rng(15).standard_normal((50, 40))
+        _, _, record = _recorded_solve(_implicit_from_dense(a), 3, seed=0)
+        assert record["path"] == "dense-fallback"
+        assert record["applies"] == {"solve": 40, "check": 0, "miss": 0}
+        assert (record["retries"], record["misses"]) == (0, 0)
+        assert record["gap"] == pytest.approx(_gap(a, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("built", [True, False], ids=["dense", "applies"])
+    def test_exact(self, built):
+        a = np.random.default_rng(3).standard_normal((6, 9))
+        y = _with_gram(a)
+        if built:
+            y.dense = lambda: a
+        _, _, record = _recorded_solve(y, 2, exact=True)
+        assert record["path"] == "exact"
+        assert record["applies"] == {"solve": 0 if built else 6, "check": 0, "miss": 0}
+        assert record["gap"] == pytest.approx(_gap(a, 2), rel=1e-12)
+
+    def test_failed_solve_leaves_its_path(self, monkeypatch):
+        # 3000 x 2000 is past DENSE_FALLBACK_SIZE: the PROPACK failure raises
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("k=5 singular triplets did not converge")
+
+        monkeypatch.setattr(seqrec.linalg, "svds", failing)
+        y = ImplicitMatrix((3000, 2000), matvec=lambda x: np.zeros(3000),
+                           rmatvec=lambda x: np.zeros(2000))
+        record = {}
+        with pytest.raises(ConvergenceError):
+            truncated_svd(y, 5, seed=0, record=record)
+        assert record["path"] == "propack" and record["seconds"] >= 0
+        assert "sigma1" not in record and "phase" not in record
+
+
 class TestImplicitMatrix:
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)

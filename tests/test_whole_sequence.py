@@ -40,9 +40,22 @@ def test_global_equals_windowed_at_window_k(monkeypatch, exact_svd, regime, shap
         ga.sweep()
         la.sweep()
     assert ga.fit_history == la.fit_history
+    # one three-entry mode table: the same solves, none of them of mode 4
+    assert ga.modes == la.modes == [(1, ranks[0]), (2, ranks[1]), (3, ranks[2])]
+    solves = [[(r["sweep"], r["mode"], r["shape"], r["path"]) for r in t.solves] for t in (ga, la)]
+    assert solves[0] == solves[1] and len(solves[0]) == 3 * 3
+    assert [r["mode"] for r in ga.solves] == [1, 2, 3] * 3
 
     ga_model = train_gasatf(tensor, f=1.0, ranks=ranks, sweeps=3, **common)
     la_model = train_lasatf(tensor, window=k, f=1.0, ranks=(*ranks, 1), sweeps=3, **common)
     for hist in ([0], [2, 5], [1, 3, 4, 7]):
         assert np.array_equal(ga_model.score_history(hist), la_model.score_history(hist))
     assert modes and 4 not in modes
+
+    # with two offsets the table has a fourth entry, and each sweep four solves
+    windowed = LocalAttentionTrainer(tensor, k - 1, build_attention(k - 1, f=1.0), (*ranks, 1),
+                                     **common)
+    for _ in range(3):
+        windowed.sweep()
+    assert [(r["sweep"], r["mode"]) for r in windowed.solves] == [
+        (sweep, mode) for sweep in (1, 2, 3) for mode in (1, 2, 3, 4)]
