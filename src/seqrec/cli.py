@@ -245,7 +245,6 @@ def cmd_prepare(config):
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2))
     print(json.dumps(stats, indent=2))
-    return stats
 
 
 def _grid_space(kind, config, m, n_items, k):
@@ -284,13 +283,11 @@ def _factory(kind, train_log, seed, k):
             return GlobalAttentionTrainer(
                 tensor, attention, (point["r1"], point["r2"], point["r3"]),
                 s=point["s"], seed=seed, regime=point["regime"])
-        if kind == "local":
-            attention = build_attention(point["window"], f=point["f"])
-            return LocalAttentionTrainer(
-                tensor, point["window"], attention,
-                (point["r1"], point["r2"], point["r3"], point["r4"]),
-                s=point["s"], seed=seed, regime=point["regime"])
-        raise ConfigError(f"unknown model kind {kind!r}")
+        attention = build_attention(point["window"], f=point["f"])  # local
+        return LocalAttentionTrainer(
+            tensor, point["window"], attention,
+            (point["r1"], point["r2"], point["r3"], point["r4"]),
+            s=point["s"], seed=seed, regime=point["regime"])
 
     return build
 
@@ -315,7 +312,6 @@ def cmd_tune(config):
               "ndcg": best.report.ndcg}
     (out / "best.json").write_text(json.dumps(winner, indent=2))
     print(json.dumps(winner, indent=2))
-    return winner
 
 
 def _read_best(path):
@@ -360,7 +356,6 @@ def cmd_final(config):
     with open(out / "report.jsonl", "a") as fh:
         fh.write(json.dumps(record) + "\n")
     print(json.dumps(record, indent=2))
-    return report
 
 
 def cmd_report(config):
@@ -401,10 +396,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ConvergenceError, MemoryError) as exc:
+    except (ValueError, ConvergenceError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

@@ -132,25 +132,15 @@ class SparsePositionalTensor:
 
 
 @contextlib.contextmanager
-def _open_source(source):
-    """Text view of a path or binary stream, gzip detected from its magic bytes.
-
-    A file opened here is closed on exit; a caller's stream is left open.
-    """
+def _open_source(path):
+    """Text view of the file at path, closed on exit; gzip is detected from its
+    magic bytes, and a leading UTF-8 byte-order mark is skipped."""
     with contextlib.ExitStack() as stack:
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            raw = stack.enter_context(open(source, "rb"))
-        else:
-            raw = source
-        if not hasattr(raw, "peek"):
-            raw = io.BufferedReader(raw)
-            stack.callback(raw.detach)
+        raw = stack.enter_context(open(path, "rb"))
         if raw.peek(2)[:2] == b"\x1f\x8b":
-            # closing a GzipFile leaves the stream it reads from open
+            # closing a GzipFile leaves the file it reads from open
             raw = stack.enter_context(gzip.open(raw, "rb"))
-        text = io.TextIOWrapper(raw, encoding="utf-8")
-        stack.callback(text.detach)
-        yield text
+        yield stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8-sig"))
 
 
 def _read_columns(text, delimiter, user_col, item_col, time_col, header):
@@ -253,17 +243,17 @@ def _first_appearance(keys):
     return dict(zip(dict.fromkeys(keys), range(len(keys))))
 
 
-def ingest_log(source, delimiter=",", user_col="user", item_col="item",
+def ingest_log(path, delimiter=",", user_col="user", item_col="item",
                time_col="timestamp", header=True):
-    """Parse delimited text into an :class:`InteractionLog`.
+    """Parse the delimited text file at ``path`` into an :class:`InteractionLog`.
 
     Rating columns, if present, are ignored: the signal is implicit/binary.
     Duplicate (user, item) pairs collapse to the earliest-timestamp occurrence.
     Column arguments are names when ``header`` is true, 0-based indices
     otherwise; an index that is not an integer >= 0 raises :class:`ParseError`.
-    ``source`` may be a path or a binary stream; gzip is detected, and a
-    truncated or corrupt gzip stream raises :class:`ParseError`. Of several
-    bad lines, the earliest is reported.
+    gzip is detected, and a truncated or corrupt gzip stream raises
+    :class:`ParseError`; a leading UTF-8 byte-order mark is skipped. Of
+    several bad lines, the earliest is reported.
 
     Each row is read once; checks, indexing and deduplication then run on
     whole columns.
@@ -272,7 +262,7 @@ def ingest_log(source, delimiter=",", user_col="user", item_col="item",
         for col in (user_col, item_col, time_col):
             if isinstance(col, bool) or not isinstance(col, numbers.Integral) or col < 0:
                 raise ParseError(f"column index must be an integer >= 0, got {col!r}")
-    with _open_source(source) as text:
+    with _open_source(path) as text:
         (raw_users, raw_items, raw_times), first_line, skipped, fault = _read_columns(
             text, delimiter, user_col, item_col, time_col, header)
     times = _timestamps(raw_times, first_line, skipped)
@@ -359,11 +349,6 @@ def core_filter(log, k):
         mask = user_keep[users] & item_keep[items]
     if not mask.any():
         raise DataError("k-core empty")
-    # entities may retain keep=True yet have no interactions left; drop them too
-    ucnt = np.bincount(users[mask], minlength=log.n_users)
-    icnt = np.bincount(items[mask], minlength=log.n_items)
-    user_keep &= ucnt > 0
-    item_keep &= icnt > 0
     return _densify(log, user_keep, item_keep)
 
 

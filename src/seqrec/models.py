@@ -204,8 +204,9 @@ class SVDModel:
         return _project_scores(self, items, np.ones(len(items)))
 
 
-def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
-    """Top-r right singular vectors of the popularity-scaled binary matrix."""
+def train_puresvd(train, r, s=1.0, seed=0):
+    """Top-r right singular vectors of the popularity-scaled binary matrix,
+    scored in the plain regime (``dataclasses.replace`` sets another)."""
     import scipy.sparse as sp
 
     m, n = train.n_users, train.n_items
@@ -219,7 +220,7 @@ def train_puresvd(train, r, s=1.0, regime="plain", seed=0):
     op = ImplicitMatrix(shape=(n, m), matvec=lambda z: xt @ z, rmatvec=lambda z: x @ z)
     v, _ = truncated_svd(op, r, seed=seed)
     # C order, as load_model returns it: the layout decides how BLAS rounds scores
-    return SVDModel(v=np.ascontiguousarray(v), scaling=scaling, regime=regime)
+    return SVDModel(v=np.ascontiguousarray(v), scaling=scaling, regime="plain")
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,12 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     call. They reuse ``factors["cores"]`` (the :func:`_position_cores` of U
     and V) and its ``"core_gram"`` when set, and build them otherwise.
 
-    Each operator builds its dense matrix directly (``dense``): modes 1/2 from
+    Modes 1/2 build their dense matrix directly (``dense``) from
     per-(row, position) sums of the entries, contracted with the skew blocks
-    of r4*r3 positions per product, and modes 3/4 as the window x r4*r2*r1
-    (offset x r3*r2*r1) unfolding, which only ``exact_svd`` and
-    ``materialize`` build.
-    Modes 3/4 also carry the Gram ``truncated_svd`` solves by eigensolve
-    (``gram``): at any size the window x window (offset x offset)
-    ``sum_a S_a^T (C C^T) S_a`` over that stack.
+    of r4*r3 positions per product. Modes 3/4 carry the Gram
+    ``truncated_svd`` solves by eigensolve (``gram``): at any size the window
+    x window (offset x offset) ``sum_a S_a^T (C C^T) S_a`` over that stack;
+    only ``exact_svd`` materializes them, from one apply per row or column.
     """
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
@@ -339,16 +338,12 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
         def rmatvec(y):
             return (np.einsum("qja,j->qa", shift, y).T @ flat).ravel()
 
-        def dense():
-            return np.tensordot(shift, cores, axes=([0], [0])).reshape(out_dim, -1)
-
         def gram():
             c_ct = _core_gram(cores) if core_gram is None else core_gram
             return np.tensordot(shift, np.tensordot(c_ct, shift, 1), axes=([0, 2], [0, 2]))
 
         op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
                             rmatvec=rmatvec)
-        op.dense = dense
         op.gram = gram
         return op
     raise ValueError(f"mode must be 1..4, got {mode}")
@@ -420,8 +415,6 @@ class LocalAttentionTrainer:
         if attention.size != window:
             raise ValueError("attention size must equal the window size")
         self.tensor = tensor
-        self.window = window
-        self.k_s = k_s
         self.attention = attention
         self.ranks = (r1, r2, r3, r4)
         # (mode, rank) per solve. With one offset W_S is a 1 x 1 orthonormal
@@ -539,10 +532,6 @@ class GlobalAttentionTrainer(LocalAttentionTrainer):
                          regime=regime, exact_svd=exact_svd, init=init)
         # the model and its saved meta keep the caller's three ranks
         self.ranks = tuple(ranks)
-
-    @property
-    def w(self):
-        return self.w_l
 
 
 def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",

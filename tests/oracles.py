@@ -139,14 +139,14 @@ def _checked_rows_reference(rows, user_col, item_col, time_col, header):
     return raw_users, raw_items, raw_times
 
 
-def ingest_reference(source, delimiter=",", user_col="user", item_col="item",
+def ingest_reference(path, delimiter=",", user_col="user", item_col="item",
                      time_col="timestamp", header=True):
     """:func:`seqrec.data.ingest_log` one row at a time: every row is checked as
     it is read, and duplicate (user, item) pairs are dropped by walking the
     (user, time, row) order through a set of seen pairs."""
     from seqrec.data import InteractionLog, ParseError, _open_source
 
-    with _open_source(source) as text:
+    with _open_source(path) as text:
         try:
             raw_users, raw_items, raw_times = _read_rows_reference(
                 text, delimiter, user_col, item_col, time_col, header)

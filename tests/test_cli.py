@@ -1,5 +1,6 @@
 """Command-line front-end: prepare/tune/final/report, exit codes, determinism."""
 
+import dataclasses
 import gzip
 import inspect
 import itertools
@@ -134,6 +135,29 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("missing file: ") and "Is a directory" in err
         assert str(tmp_path) in err and len(err.strip().splitlines()) == 1
+
+    def test_config_under_a_file_exit_3(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        assert main(["--config", str(tmp_path / "taken" / "x.yaml"), "prepare"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing file: ") and "Not a directory" in err
+        assert len(err.strip().splitlines()) == 1
+
+    # a name past the file system's 255-byte limit is an OSError of no subclass
+    @pytest.mark.parametrize("command", ["prepare", "report"])
+    def test_overlong_output_name_exit_1(self, tmp_path, capsys, command):
+        cfg, _ = _toy_config(tmp_path)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / ("x" * 300)),
+                     command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File name too long" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_overlong_config_name_exit_1(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / ("x" * 300 + ".yaml")), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File name too long" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("output", ["taken", "taken/sub"], ids=["file", "under-a-file"])
     def test_output_naming_a_file_exit_2(self, tmp_path, monkeypatch, capsys, output):
@@ -355,8 +379,9 @@ class TestTune:
 
         # reference: every grid point trains its own factorization
         def per_point(kind, train_log, seed, k):
-            return lambda p: train_puresvd(train_log, r=p["rank"], s=p["s"],
-                                           regime=p["regime"], seed=seed)
+            return lambda p: dataclasses.replace(
+                train_puresvd(train_log, r=p["rank"], s=p["s"], seed=seed),
+                regime=p["regime"])
 
         monkeypatch.setattr(seqrec.cli, "_factory", per_point)
         assert main(["--config", str(cfg), "tune"]) == 0
@@ -791,7 +816,7 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
     assert main(["--config", str(tmp_path / "global.yaml"), "prepare"]) == 0
     train = load_split(out / "split.npz").train
     tensor = build_positional_tensor(train, 3)
-    models = {"svd": train_puresvd(train, r=1, s=0.5, regime="restored"),
+    models = {"svd": dataclasses.replace(train_puresvd(train, r=1, s=0.5), regime="restored"),
               "global": train_gasatf(tensor, f=0.5, ranks=(1, 1, 1), sweeps=1),
               "local": train_lasatf(tensor, window=2, f=0.5, ranks=(1, 1, 1, 1), sweeps=1)}
     for kind, model in models.items():

@@ -1,7 +1,6 @@
 """Ingestion, filtering, splitting, tensor construction, and serialization."""
 
 import gzip
-import io
 
 import numpy as np
 import pytest
@@ -24,8 +23,11 @@ from seqrec.data import (
 )
 
 
-def _stream(text):
-    return io.BytesIO(text.encode())
+def _source(tmp_path, payload):
+    """Path of a file under tmp_path that holds payload, a str written as UTF-8."""
+    path = tmp_path / "events.csv"
+    path.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+    return path
 
 
 _GZIP_LOG = gzip.compress(b"user,item,timestamp\n"
@@ -33,76 +35,76 @@ _GZIP_LOG = gzip.compress(b"user,item,timestamp\n"
 
 
 class TestIngest:
-    def test_three_rows_two_users(self):
-        log = ingest_log(_stream("user,item,timestamp\nu1,a,1\nu1,b,2\nu2,a,3\n"))
+    def test_three_rows_two_users(self, tmp_path):
+        log = ingest_log(_source(tmp_path, "user,item,timestamp\nu1,a,1\nu1,b,2\nu2,a,3\n"))
         assert log.n_users == 2
         assert log.n_items <= 3
         assert len(log) == 3
 
-    def test_duplicate_pair_keeps_earliest(self):
-        log = ingest_log(_stream("user,item,timestamp\nu1,i1,5\nu1,i1,9\n"))
+    def test_duplicate_pair_keeps_earliest(self, tmp_path):
+        log = ingest_log(_source(tmp_path, "user,item,timestamp\nu1,i1,5\nu1,i1,9\n"))
         assert len(log) == 1
         assert log.timestamps[0] == 5
 
-    def test_malformed_row_names_line(self):
+    def test_malformed_row_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
-            ingest_log(_stream("user,item,timestamp\na,b\n"))
+            ingest_log(_source(tmp_path, "user,item,timestamp\na,b\n"))
 
-    def test_unparsable_timestamp_names_line(self):
+    def test_unparsable_timestamp_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 3"):
-            ingest_log(_stream("user,item,timestamp\nu,i,1\nu,j,xyz\n"))
+            ingest_log(_source(tmp_path, "user,item,timestamp\nu,i,1\nu,j,xyz\n"))
 
     # a quoted newline makes its row span lines 3 and 4: the next row starts on line 5
     @pytest.mark.parametrize("tail, message", [
         ("u,i,xyz", "line 5: unparsable timestamp 'xyz'"),
         ("u,i", "line 5: expected at least 3 columns, got 2"),
     ], ids=["timestamp", "short-row"])
-    def test_lines_after_a_quoted_newline_are_physical(self, tail, message):
+    def test_lines_after_a_quoted_newline_are_physical(self, tmp_path, tail, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
-            ingest_log(_stream(f'user,item,timestamp\n\nu,"a\nb",1\n{tail}\n'))
+            ingest_log(_source(tmp_path, f'user,item,timestamp\n\nu,"a\nb",1\n{tail}\n'))
 
-    def test_empty_source(self):
+    def test_empty_source(self, tmp_path):
         with pytest.raises(ParseError, match="empty"):
-            ingest_log(_stream(""))
+            ingest_log(_source(tmp_path, ""))
         with pytest.raises(ParseError, match="empty"):
-            ingest_log(_stream("user,item,timestamp\n"))
+            ingest_log(_source(tmp_path, "user,item,timestamp\n"))
 
-    def test_negative_timestamp_rejected(self):
+    def test_negative_timestamp_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="negative"):
-            ingest_log(_stream("user,item,timestamp\nu,i,-3\n"))
+            ingest_log(_source(tmp_path, "user,item,timestamp\nu,i,-3\n"))
 
     @pytest.mark.parametrize("value", ["inf", "1e400", "1e30", "9223372036854775808"])
-    def test_out_of_range_timestamp_names_line(self, value):
+    def test_out_of_range_timestamp_names_line(self, tmp_path, value):
         with pytest.raises(ParseError, match="line 3: .*out of range"):
-            ingest_log(_stream(f"user,item,timestamp\nu,i,1\nu,j,{value}\n"))
+            ingest_log(_source(tmp_path, f"user,item,timestamp\nu,i,1\nu,j,{value}\n"))
 
-    def test_rating_column_ignored(self):
-        log = ingest_log(_stream("user,item,rating,timestamp\nu,i,5.0,7\n"))
+    def test_rating_column_ignored(self, tmp_path):
+        log = ingest_log(_source(tmp_path, "user,item,rating,timestamp\nu,i,5.0,7\n"))
         assert len(log) == 1
         assert log.timestamps[0] == 7
 
-    def test_headerless_with_column_indices(self):
-        log = ingest_log(_stream("u1\ti1\t4\nu1\ti2\t2\n"), delimiter="\t",
+    def test_headerless_with_column_indices(self, tmp_path):
+        log = ingest_log(_source(tmp_path, "u1\ti1\t4\nu1\ti2\t2\n"), delimiter="\t",
                          user_col=0, item_col=1, time_col=2, header=False)
         assert len(log) == 2
         # sorted by (user, timestamp)
         assert list(log.timestamps) == [2, 4]
 
     @pytest.mark.parametrize("user_col", [-5, 1.5, "0", True], ids=repr)
-    def test_headerless_bad_column_index_is_parse_error(self, user_col):
+    def test_headerless_bad_column_index_is_parse_error(self, tmp_path, user_col):
         # -5 used to slip past the short-row check and 1.5 to read column 1
         with pytest.raises(ParseError, match=f"integer >= 0, got {user_col!r}"):
-            ingest_log(_stream("u1,i1,4\n"), user_col=user_col, item_col=1, time_col=2,
-                       header=False)
+            ingest_log(_source(tmp_path, "u1,i1,4\n"), user_col=user_col, item_col=1,
+                       time_col=2, header=False)
 
-    def test_headerless_numpy_integer_index(self):
-        log = ingest_log(_stream("u1,i1,4\n"), user_col=np.int64(0), item_col=1,
+    def test_headerless_numpy_integer_index(self, tmp_path):
+        log = ingest_log(_source(tmp_path, "u1,i1,4\n"), user_col=np.int64(0), item_col=1,
                          time_col=2, header=False)
         assert list(log.timestamps) == [4]
 
-    def test_gzip_detected(self):
+    def test_gzip_detected(self, tmp_path):
         payload = gzip.compress(b"user,item,timestamp\nu,i,1\nu,j,2\n")
-        log = ingest_log(io.BytesIO(payload))
+        log = ingest_log(_source(tmp_path, payload))
         assert len(log) == 2
 
     @pytest.mark.parametrize("cut", [2, 20, -4])
@@ -114,21 +116,30 @@ class TestIngest:
             ingest_log(path)
 
     @pytest.mark.parametrize("offset, junk", [(2, b"\x07"), (12, b"\xff\xff\xff\xff")])
-    def test_corrupt_gzip_is_parse_error(self, offset, junk):
+    def test_corrupt_gzip_is_parse_error(self, tmp_path, offset, junk):
         # an unknown compression method, then damaged deflate data
         payload = bytearray(_GZIP_LOG)
         payload[offset:offset + len(junk)] = junk
         with pytest.raises(ParseError, match="gzip"):
-            ingest_log(io.BytesIO(bytes(payload)))
+            ingest_log(_source(tmp_path, bytes(payload)))
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_caller_stream_left_open(self, compress):
-        payload = b"user,item,timestamp\nu,i,1\nu,j,2\n"
-        stream = io.BytesIO(gzip.compress(payload) if compress else payload)
-        assert len(ingest_log(stream)) == 2
-        assert not stream.closed
-        stream.seek(0)
-        assert stream.read(2) == (b"\x1f\x8b" if compress else b"us")
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    def test_byte_order_mark_skipped(self, tmp_path, header, compress):
+        # spreadsheet exports begin with the UTF-8 mark EF BB BF; it must join
+        # neither the first header name nor the first row's user id
+        text = b"u1,a,1\nu2,b,2\nu1,b,3\n"
+        columns = {"user_col": 0, "item_col": 1, "time_col": 2, "header": False}
+        if header:
+            text, columns = b"user,item,timestamp\n" + text, {}
+        logs = []
+        for payload in (text, b"\xef\xbb\xbf" + text):
+            path = _source(tmp_path, gzip.compress(payload) if compress else payload)
+            log = ingest_log(path, **columns)
+            logs.append(([a.tolist() for a in (log.users, log.items, log.timestamps)],
+                         log.user_map, log.item_map, log.n_users, log.n_items))
+        assert logs[1] == logs[0]
+        assert logs[1][1] == {"u1": 0, "u2": 1}
 
     @pytest.mark.parametrize("compress", [False, True])
     def test_path_source_closed(self, tmp_path, monkeypatch, compress):
@@ -142,8 +153,8 @@ class TestIngest:
         assert len(ingest_log(path)) == 2
         assert len(opened) == 1 and opened[0].closed
 
-    def test_indices_dense_and_sorted(self):
-        log = ingest_log(_stream(
+    def test_indices_dense_and_sorted(self, tmp_path):
+        log = ingest_log(_source(tmp_path, 
             "user,item,timestamp\nb,y,9\na,x,1\nb,x,3\na,y,2\n"))
         assert set(log.users) == {0, 1}
         assert set(log.items) == {0, 1}
@@ -187,7 +198,7 @@ class TestEventOrder:
                 if rng.random() < 0.7]
         text = "".join(f"u{u},i{j},{t}\n" for u, j, t in
                        (rows[i] for i in rng.permutation(len(rows))))
-        log = ingest_log(_stream("user,item,timestamp\n" + text))
+        log = ingest_log(_source(tmp_path, "user,item,timestamp\n" + text))
         kcore = core_filter(log, 2)
         split = timepoint_split(kcore, 8, 14)
         save_split(split, tmp_path / "split.npz")
@@ -412,7 +423,7 @@ class TestPositionalTensor:
 
 class TestSerialization:
     def test_split_round_trip(self, tmp_path):
-        log = ingest_log(_stream("user,item,timestamp\nu1,a,1\nu1,b,2\nu2,a,3\nu2,b,4\n"))
+        log = ingest_log(_source(tmp_path, "user,item,timestamp\nu1,a,1\nu1,b,2\nu2,a,3\nu2,b,4\n"))
         split = timepoint_split(log, 3, 4)
         path = tmp_path / "split.npz"
         save_split(split, path)

@@ -1,5 +1,6 @@
 """Metrics, the sequential evaluation walk, early stopping, and grid search."""
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -138,7 +139,8 @@ def _model(kind, train):
     if kind == "mp":
         return train_mp(train)
     if kind.startswith("svd"):
-        return train_puresvd(train, r=3, s=0.5, regime=kind.split("-")[1])
+        return dataclasses.replace(train_puresvd(train, r=3, s=0.5),
+                                   regime=kind.split("-")[1])
     if kind.endswith("-k1"):
         # K = 1 keeps no item in the position profile: every block row is 0
         tensor = build_positional_tensor(train, 1)

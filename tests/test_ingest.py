@@ -3,6 +3,8 @@
 import csv
 import gzip
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +23,15 @@ BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808
 
 
 def _outcome(parse, payload, **kwargs):
-    """The parsed log's arrays and maps (in order), or the error's type and message."""
-    try:
-        log = parse(io.BytesIO(payload), **kwargs)
-    except (ParseError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+    """The parsed log's arrays and maps (in order), or the error's type and
+    message, from a file that holds payload."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(payload)
+        try:
+            log = parse(path, **kwargs)
+        except (ParseError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
     return ([a.tolist() for a in (log.users, log.items, log.timestamps)],
             list(log.user_map.items()), list(log.item_map.items()),
             log.n_users, log.n_items)
@@ -157,8 +163,9 @@ def test_large_log_matches_reference():
     _assert_matches_reference(text.encode())
 
 
-def test_oversized_field_is_a_parse_error_naming_its_line():
+def test_oversized_field_is_a_parse_error_naming_its_line(tmp_path):
     # past the csv module's field limit (131072 characters), after a blank line
-    payload = b"user,item,timestamp\nu0,i0,0\n\nu0," + b"x" * 200_000 + b",1\nu1,i1,2\n"
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"user,item,timestamp\nu0,i0,0\n\nu0," + b"x" * 200_000 + b",1\nu1,i1,2\n")
     with pytest.raises(ParseError, match=r"^line 4: field larger than field limit"):
-        ingest_log(io.BytesIO(payload))
+        ingest_log(path)

@@ -117,8 +117,8 @@ class TestPureSVD:
     def test_s_one_regimes_agree(self):
         log = make_log([(u, (u + d) % 5, t) for t, (u, d) in enumerate(
             (u, d) for u in range(6) for d in range(3))], 6, 5)
-        a = train_puresvd(log, r=3, s=1.0, regime="plain")
-        b = train_puresvd(log, r=3, s=1.0, regime="restored")
+        a = train_puresvd(log, r=3, s=1.0)
+        b = dataclasses.replace(train_puresvd(log, r=3, s=1.0), regime="restored")
         for hist in ([0], [1, 4], [2, 3, 0]):
             assert np.allclose(a.score_history(hist), b.score_history(hist),
                                atol=1e-12)
@@ -158,13 +158,13 @@ class TestPureSVD:
         log = make_log([(u, (u + d) % 5, t) for t, (u, d) in enumerate(
             (u, d) for u in range(6) for d in range(3))], 6, 5)
         for regime in ("plain", "restored"):
-            svd = train_puresvd(log, r=3, s=0.0, regime=regime)
+            svd = dataclasses.replace(train_puresvd(log, r=3, s=0.0), regime=regime)
             assert np.array_equal(svd.score_history([3, 1, 3]), svd.score_history([1, 3]))
 
     def test_restored_regime_formula(self):
         # restored scores are D^{-1} V V^T D p against a hand computation
         log = make_log([(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 2, 3)], 3, 3)
-        svd = train_puresvd(log, r=2, s=0.0, regime="restored")
+        svd = dataclasses.replace(train_puresvd(log, r=2, s=0.0), regime="restored")
         d = svd.scaling.d
         p = np.zeros(3)
         p[1] = 1.0
@@ -337,10 +337,9 @@ def _mode_operators(kind, k):
 
 # a short and a long K; both build their skew blocks by the shift stack
 @pytest.mark.parametrize("k", [6, 40], ids=["direct-skew", "fft-skew"])
-@pytest.mark.parametrize("kind, mode", [("ga", 1), ("ga", 2), ("ga", 3),
-                                        ("la", 1), ("la", 2), ("la", 3), ("la", 4)])
+@pytest.mark.parametrize("kind, mode", [("ga", 1), ("ga", 2), ("la", 1), ("la", 2)])
 def test_dense_build_matches_column_loop(kind, mode, k):
-    # the operator builds its dense matrix itself, without one apply per column
+    # modes 1/2 build their dense matrix themselves, without one apply per column
     op = _mode_operators(kind, k)[mode]
     columns = ImplicitMatrix(shape=op.shape, matvec=op.matvec, rmatvec=op.rmatvec).materialize()
     if mode == 1:
@@ -439,7 +438,7 @@ class TestIterativeAgreesWithExact:
         tensor = random_tensor(50, 80, 12, seed=0)
         _assert_iterative_agrees(monkeypatch, lambda exact: GlobalAttentionTrainer(
             tensor, build_attention(12, f=1.0), (10, 20, 5), seed=0, exact_svd=exact),
-            [(50, 100), (80, 50)], ("u", "v", "w"))
+            [(50, 100), (80, 50)], ("u", "v", "w_l"))
 
     def test_local_wide_mode_one(self, monkeypatch):
         tensor = random_tensor(50, 80, 12, seed=0)
@@ -970,7 +969,7 @@ class TestSerialization:
         x = build_positional_tensor(log, 3)
         return {
             "mp": train_mp(log),
-            "svd": train_puresvd(log, r=3, s=0.5, regime="restored"),
+            "svd": dataclasses.replace(train_puresvd(log, r=3, s=0.5), regime="restored"),
             "global": train_gasatf(x, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0,
                                    sweeps=2, regime="restored"),
             "local": train_lasatf(x, window=2, f=0.5, ranks=(4, 3, 2, 2),
@@ -1011,7 +1010,8 @@ class TestSerialization:
             "mp": train_mp(log),
             # PROPACK's factor comes out in Fortran order at this size
             "svd-iterative": train_puresvd(log, r=10, s=0.4),
-            "svd-dense": train_puresvd(log, r=3, s=0.5, regime="restored"),
+            "svd-dense": dataclasses.replace(train_puresvd(log, r=3, s=0.5),
+                                             regime="restored"),
             "global": train_gasatf(x, f=1.0, ranks=(5, 4, 2), s=0.5, seed=0, sweeps=2),
             "local": train_lasatf(x, window=3, f=0.5, ranks=(5, 4, 2, 2), s=0.4, seed=0,
                                   sweeps=2, regime="restored"),
