@@ -132,33 +132,45 @@ class SparsePositionalTensor:
 
 
 @contextlib.contextmanager
-def _open_source(path):
+def _open_source(path, errors="strict"):
     """Text view of the file at path, closed on exit; gzip is detected from its
-    magic bytes, and a leading UTF-8 byte-order mark is skipped."""
+    magic bytes, and a leading UTF-8 byte-order mark is skipped. ``errors`` is
+    the decoder's error handler."""
     with contextlib.ExitStack() as stack:
         raw = stack.enter_context(open(path, "rb"))
         if raw.peek(2)[:2] == b"\x1f\x8b":
             # closing a GzipFile leaves the file it reads from open
             raw = stack.enter_context(gzip.open(raw, "rb"))
-        yield stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8-sig"))
+        yield stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors))
 
 
-def _read_columns(text, delimiter, user_col, item_col, time_col, header):
-    """Raw user ids, item ids and timestamps of the data rows, read once.
+def _utf8_lines(text):
+    """The lines of a text read with ``errors="surrogateescape"``; pulling the
+    first line that holds a byte that is not UTF-8 raises the
+    :class:`ParseError` naming it."""
+    for lineno, line in enumerate(text, 1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: not UTF-8: {exc}") from None
+        yield line
 
-    Returns ``(columns, first_line, skipped, fault)``: the three columns; the
-    line number of the first data row; for each physical line that starts no
-    data row (a blank line, or a later line of a row with quoted newlines), the
-    number of data rows begun before it; and the error that ended the read
-    early (a short row, a field the csv module rejects or a corrupt stream) or
-    None. A row is numbered by the line it starts on. The rows read before a
-    fault still have their timestamps checked first, so the earliest bad line
-    wins.
+
+def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
+    """Raw user ids, item ids and float timestamps of the data rows.
+
+    Each row is checked as it is read, so the first bad line raises its
+    :class:`ParseError`: a short row, a timestamp :func:`_check_timestamp`
+    rejects, a field the csv module rejects or a corrupt gzip stream. A row
+    is named by the physical line it starts on. A byte that is not UTF-8
+    raises the decoder's error.
     """
-    rows = csv.reader(text, delimiter=delimiter)
-    users, items, times, skipped = [], [], [], []
-    first_line = 2 if header else 1
-    fault = None
+    rows = csv.reader(lines, delimiter=delimiter)
+
+    def line(row):  # the reader's line less the quoted newlines of the row
+        return rows.line_num - sum(value.count("\n") for value in row)
+
+    users, items, times = [], [], []
     try:
         if header:
             names = next(rows, None)
@@ -176,31 +188,28 @@ def _read_columns(text, delimiter, user_col, item_col, time_col, header):
         # a one-field row may be a whitespace-only line even when one field is enough
         short = max(needed, 2)
         add_user, add_item, add_time = users.append, items.append, times.append
-        line = first_line - 1
         for row in rows:
-            line += 1  # the line this row starts on
             if len(row) < short:
                 if not row or (len(row) == 1 and not row[0].strip()):
-                    skipped.extend([len(times)] * (rows.line_num - line + 1))
-                    line = rows.line_num
                     continue
                 if len(row) < needed:
-                    fault = ParseError(
-                        f"line {line}: expected at least {needed} columns, got {len(row)}")
-                    break
-            if rows.line_num != line:  # quoted newlines: its later lines start no row
-                skipped.extend([len(times) + 1] * (rows.line_num - line))
-                line = rows.line_num
+                    raise ParseError(
+                        f"line {line(row)}: expected at least {needed} columns, got {len(row)}")
+            try:
+                t = float(row[t_idx])
+            except ValueError:
+                _check_timestamp(row[t_idx], line(row))
+            # exactly the values int(t) maps into [0, 2**63); NaN fails too
+            if not -1.0 < t < 2.0 ** 63:
+                _check_timestamp(row[t_idx], line(row))
             add_user(row[u_idx])
             add_item(row[i_idx])
-            add_time(row[t_idx])
+            add_time(t)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        fault = ParseError(f"corrupt or truncated gzip stream: {exc}")
+        raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
     except csv.Error as exc:
-        fault = ParseError(f"line {rows.line_num}: {exc}")
-    except UnicodeDecodeError as exc:
-        fault = exc
-    return (users, items, times), first_line, skipped, fault
+        raise ParseError(f"line {rows.line_num}: {exc}") from None
+    return users, items, times
 
 
 def _check_timestamp(text, lineno):
@@ -218,26 +227,6 @@ def _check_timestamp(text, lineno):
         raise ParseError(f"line {lineno}: timestamp {text!r} out of range")
 
 
-def _timestamps(raw_times, first_line, skipped):
-    """Every raw timestamp as ``int(float(text))`` in one int64 array.
-
-    A non-numeric, non-finite, negative or >= 2**63 value sends the column
-    through :func:`_check_timestamp` row by row, which raises for the earliest
-    bad line.
-    """
-    try:
-        values = np.trunc(np.fromiter(map(float, raw_times), np.float64, len(raw_times)))
-    except ValueError:
-        values = None
-    # NaN fails both comparisons
-    if values is None or not ((values >= 0) & (values < 2.0 ** 63)).all():
-        rows = np.arange(len(raw_times))
-        lines = first_line + rows + np.searchsorted(skipped, rows, side="right")
-        for text, lineno in zip(raw_times, lines.tolist()):
-            _check_timestamp(text, lineno)
-    return values.astype(np.int64)
-
-
 def _first_appearance(keys):
     """Map each distinct key to its rank of first appearance."""
     return dict(zip(dict.fromkeys(keys), range(len(keys))))
@@ -252,25 +241,30 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
     Column arguments are names when ``header`` is true, 0-based indices
     otherwise; an index that is not an integer >= 0 raises :class:`ParseError`.
     gzip is detected, and a truncated or corrupt gzip stream raises
-    :class:`ParseError`; a leading UTF-8 byte-order mark is skipped. Of
-    several bad lines, the earliest is reported.
+    :class:`ParseError`; a leading UTF-8 byte-order mark is skipped.
 
-    Each row is read once; checks, indexing and deduplication then run on
-    whole columns.
+    Each row is checked as it is read, and the first bad line raises a
+    :class:`ParseError` that names it; a byte that is not UTF-8 is named by
+    its line too. Indexing and deduplication then run on whole columns.
     """
     if not header:
         for col in (user_col, item_col, time_col):
             if isinstance(col, bool) or not isinstance(col, numbers.Integral) or col < 0:
                 raise ParseError(f"column index must be an integer >= 0, got {col!r}")
-    with _open_source(path) as text:
-        (raw_users, raw_items, raw_times), first_line, skipped, fault = _read_columns(
-            text, delimiter, user_col, item_col, time_col, header)
-    times = _timestamps(raw_times, first_line, skipped)
-    if fault is not None:
-        raise fault
+    columns = (delimiter, user_col, item_col, time_col, header)
+    try:
+        with _open_source(path) as text:
+            raw_users, raw_items, raw_times = _read_columns(text, *columns)
+    except UnicodeDecodeError:
+        # the decoder names no line: read again, escaping the bad bytes, and
+        # raise at the first line that holds one unless a row before it is bad
+        with _open_source(path, errors="surrogateescape") as text:
+            _read_columns(_utf8_lines(text), *columns)
+        raise
     n = len(raw_users)
     if not n:
         raise ParseError("empty source")
+    times = np.trunc(np.array(raw_times, dtype=np.float64)).astype(np.int64)
 
     # users indexed by first appearance in ingestion order
     user_map = _first_appearance(raw_users)
@@ -280,7 +274,7 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
     icode = np.fromiter(map(item_codes.__getitem__, raw_items), np.int64, n)
     del raw_users, raw_items, raw_times  # free the id strings before the sorts
 
-    order = np.lexsort((np.arange(n), times, uidx))
+    order = np.lexsort((times, uidx))  # stable: ties keep row order
     # keep the earliest occurrence of each (user, item) pair: np.unique
     # returns the first index of each pair code in (user, time, row) order
     _, first = np.unique(uidx[order] * len(item_codes) + icode[order], return_index=True)

@@ -96,6 +96,21 @@ def _read_rows_reference(text, delimiter, user_col, item_col, time_col, header):
         raise ParseError(f"line {rows.line_num}: {exc}") from None
 
 
+def _utf8_lines_reference(text):
+    """Each line of a text read with ``errors="surrogateescape"``, checked for
+    an escaped byte before the csv reader gets it: a line that holds one is a
+    ParseError naming it, with the reason its bytes fail to decode."""
+    from seqrec.data import ParseError
+
+    for lineno, line in enumerate(text, 1):
+        if any("\udc80" <= ch <= "\udcff" for ch in line):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: not UTF-8: {exc}") from None
+        yield line
+
+
 def _checked_rows_reference(rows, user_col, item_col, time_col, header):
     from seqrec.data import MAX_TIMESTAMP, ParseError
 
@@ -141,15 +156,16 @@ def _checked_rows_reference(rows, user_col, item_col, time_col, header):
 
 def ingest_reference(path, delimiter=",", user_col="user", item_col="item",
                      time_col="timestamp", header=True):
-    """:func:`seqrec.data.ingest_log` one row at a time: every row is checked as
-    it is read, and duplicate (user, item) pairs are dropped by walking the
-    (user, time, row) order through a set of seen pairs."""
+    """:func:`seqrec.data.ingest_log` one row at a time: the source is read
+    once, each physical line is checked for bytes that are not UTF-8 and each
+    row is checked as it is read, and duplicate (user, item) pairs are dropped
+    by walking the (user, time, row) order through a set of seen pairs."""
     from seqrec.data import InteractionLog, ParseError, _open_source
 
-    with _open_source(path) as text:
+    with _open_source(path, errors="surrogateescape") as text:
         try:
             raw_users, raw_items, raw_times = _read_rows_reference(
-                text, delimiter, user_col, item_col, time_col, header)
+                _utf8_lines_reference(text), delimiter, user_col, item_col, time_col, header)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
     if not raw_users:

@@ -103,6 +103,18 @@ class TestPrepare:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_byte_not_utf8_exit_1(self, tmp_path, capsys):
+        # a Latin-1 "café" after 5000 good rows: the decoder alone names no line
+        cfg, out = _toy_config(tmp_path)
+        rows = "".join(f"u{t % 3},i{t % 4},{t}\n" for t in range(5000))
+        (tmp_path / "events.csv").write_bytes(
+            b"user,item,timestamp\n" + rows.encode() + b"u1,caf\xe9,5\n")
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 5002: not UTF-8: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_truncated_gzip_exit_1(self, tmp_path, capsys):
         cfg, _ = _toy_config(tmp_path)
         csv = tmp_path / "events.csv"

@@ -15,11 +15,17 @@ from oracles import ingest_reference
 from seqrec.data import ParseError, ingest_log
 
 COLUMNS = ("user", "item", "timestamp")
-# ids that need csv quoting under one delimiter or the other; "a\nb" makes
-# its row span two physical lines
-IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7", "a\nb"]
-GOOD_TIMES = ["0", "1", "2", "2", "3", "5.7", "1e3", " 4 ", "-0.5", "1_0", "9.2e18"]
-BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808"]
+# ids that need csv quoting under one delimiter or the other; "a\nb" and
+# "a\r\nb" make their row span two physical lines, "a\n\nb" three
+IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7", "a\nb", "a\r\nb", "a\n\nb"]
+# a Latin-1 "café": written as the one byte 0xe9, which is not UTF-8
+NOT_UTF8_ID = "caf\udce9"
+# -0.9999999 truncates to 0; 9223372036854774784 is the largest float below 2**63
+GOOD_TIMES = ["0", "1", "2", "2", "3", "5.7", "1e3", " 4 ", "-0.5", "1_0", "9.2e18",
+              "-0.9999999", "9223372036854774784"]
+# 9223372036854775807 parses to the float 2**63
+BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808",
+             "-1.0", "9223372036854775807", "0x10"]
 
 
 def _outcome(parse, payload, **kwargs):
@@ -47,8 +53,10 @@ def _assert_matches_reference(payload, **kwargs):
 def _sources(draw):
     """Delimited text with a shuffled column order and extra columns, quoted
     ids, repeated pairs, tied and float timestamps, blank and whitespace-only
-    lines, an occasional bad value or short row, optionally gzipped and cut."""
+    lines, an occasional bad value, short row or byte that is not UTF-8,
+    optionally gzipped and cut."""
     delimiter = draw(st.sampled_from([",", "\t"]))
+    ids = IDS + [NOT_UTF8_ID] if draw(st.integers(0, 3)) == 0 else IDS
     header = draw(st.booleans())
     names = draw(st.permutations(list(COLUMNS) + ["rating", "note"][:draw(st.integers(0, 2))]))
     where = {name: names.index(name) for name in COLUMNS}
@@ -63,14 +71,14 @@ def _sources(draw):
             out.write(draw(st.sampled_from(["", " ", "   "])) + "\n")
             continue
         fields = ["5"] * len(names)
-        fields[where["user"]] = draw(st.sampled_from(IDS))
-        fields[where["item"]] = draw(st.sampled_from(IDS))
+        fields[where["user"]] = draw(st.sampled_from(ids))
+        fields[where["item"]] = draw(st.sampled_from(ids))
         bad = kind >= 100 - bad_rate
         fields[where["timestamp"]] = draw(st.sampled_from(BAD_TIMES if bad else GOOD_TIMES))
         if bad and draw(st.booleans()):
             fields = fields[:draw(st.integers(1, max(where.values())))]
         writer.writerow(fields)
-    payload = out.getvalue().encode()
+    payload = out.getvalue().encode("utf-8", "surrogateescape")
     if draw(st.booleans()):
         payload = gzip.compress(payload)
         if draw(st.integers(0, 4)) == 0:
@@ -151,6 +159,41 @@ class TestMatchesReference:
         (_, _, times), *_ = _assert_matches_reference(
             payload, delimiter="\t", user_col=1, item_col=0, time_col=2, header=False)
         assert times == [5, 7]
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a ParseError naming its physical line."""
+
+    # 5000 good rows on lines 2-5001, past the text decoder's 8 KB chunks
+    ROWS = [f"u{t % 7},i{t % 11},{t}\n".encode() for t in range(1, 5001)]
+    LATIN1 = b"u1,caf\xe9,5\n"
+    REASON = "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 6: invalid continuation byte"
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_names_its_line(self, compress):
+        payload = b"user,item,timestamp\n" + b"".join(self.ROWS) + self.LATIN1
+        payload = gzip.compress(payload) if compress else payload
+        assert _assert_matches_reference(payload) == ("ParseError", f"line 5002: {self.REASON}")
+
+    # the bad timestamp and the bad byte fall in the decoder's last chunk
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_bad_line_before_it_wins(self, compress):
+        rows = self.ROWS[:4998] + [b"u1,i1,xyz\n"] + self.ROWS[4999:]
+        payload = b"user,item,timestamp\n" + b"".join(rows) + self.LATIN1
+        payload = gzip.compress(payload) if compress else payload
+        assert _assert_matches_reference(payload) == (
+            "ParseError", "line 5000: unparsable timestamp 'xyz'")
+
+    def test_in_the_header(self):
+        payload = b"user,it\xe9m,timestamp\nu,i,1\n"
+        kind, message = _assert_matches_reference(payload)
+        assert kind == "ParseError" and message.startswith("line 1: not UTF-8: ")
+
+    # the quoted record that runs into the bad line is read up to it, not cut short
+    def test_inside_a_quoted_record(self):
+        payload = b'user,item,timestamp\nu,i,1\nu,"a\nb\xe9",1\n'
+        kind, message = _assert_matches_reference(payload)
+        assert kind == "ParseError" and message.startswith("line 4: not UTF-8: ")
 
 
 def test_large_log_matches_reference():
