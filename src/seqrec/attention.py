@@ -40,14 +40,6 @@ class AttentionMatrix:
         """Compute A.T @ x by one Toeplitz product."""
         return self.dense().T @ np.asarray(x, dtype=float)
 
-    def solve_transpose(self, b):
-        """Solve A.T y = b (no explicit inverse). LU with partial pivoting of a
-        triangular matrix with a nonzero diagonal swaps no rows and leaves L = I,
-        so this is back-substitution, without loading SciPy."""
-        if self.weights[0] == 0:
-            raise np.linalg.LinAlgError("attention matrix is singular (zero main diagonal)")
-        return np.linalg.solve(self.dense().T, np.asarray(b, dtype=float))
-
 
 def build_attention(size, f=0.0, mode="power-decay"):
     if size < 1:
@@ -65,8 +57,13 @@ def build_attention(size, f=0.0, mode="power-decay"):
 
 
 def triangular_restore(attention, w):
-    """Solve A.T w_hat = w for the factor in the original positional space."""
+    """Solve A.T w_hat = w for the factor in the original positional space (no
+    explicit inverse). LU with partial pivoting of a triangular matrix with a
+    nonzero diagonal swaps no rows and leaves L = I, so this is
+    back-substitution, without loading SciPy."""
     w = np.asarray(w, dtype=float)
     if w.shape[0] != attention.size:
         raise ValueError("factor row count must match attention size")
-    return attention.solve_transpose(w)
+    if attention.weights[0] == 0:
+        raise np.linalg.LinAlgError("attention matrix is singular (zero main diagonal)")
+    return np.linalg.solve(attention.dense().T, w)

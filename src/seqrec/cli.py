@@ -141,7 +141,7 @@ def _lists(kind, model):
 
 def load_config(path, preset=None, overrides=None):
     """The config at path under the preset and overrides, its defaults filled."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # PyYAML decodes it: a byte not UTF-8 is a YAMLError
         try:
             config = yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:

@@ -28,7 +28,6 @@ MIN_LANCZOS_BASIS = 300
 # RETRY_BASIS_FACTOR * r.
 LANCZOS_BASIS_FACTOR = 5
 RETRY_BASIS_FACTOR = 10
-DENSE_SVD_DIM = 32
 # At or below this many entries PROPACK's two bases, (rows + cols) * (min + 1)
 # doubles, outgrow the matrix itself, and materializing it takes at most
 # MIN_LANCZOS_BASIS applies: a Gram eigensolve is cheaper and loads no SciPy.
@@ -217,14 +216,14 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
     singular values. Unless ``exact``, an operator that carries a ``gram``, or
-    has a side of at most DENSE_SVD_DIM or at most DENSE_SVD_SIZE entries (its
-    short side's Gram then), is solved by a symmetric eigensolve of a Gram
-    matrix, with s = sqrt(max(lambda, 0)): squaring halves the digits, so
-    singular values below about sqrt(eps) * s[0] are noise, and past the
-    operator's rank U holds some orthonormal completion. Otherwise the solve
-    is PROPACK's, seeded by ``seed``. ``exact``, and PROPACK failures at
-    r >= min - 1 (a breakdown at the operator's rank) or on at most
-    DENSE_FALLBACK_SIZE entries, use a dense SVD.
+    has at most DENSE_SVD_SIZE entries (its short side's Gram then), is solved
+    by a symmetric eigensolve of a Gram matrix, with s = sqrt(max(lambda, 0)):
+    squaring halves the digits, so singular values below about sqrt(eps) * s[0]
+    are noise, and past the operator's rank U holds some orthonormal
+    completion. Otherwise the solve, narrow operators' too, is PROPACK's,
+    seeded by ``seed``. ``exact``, and PROPACK failures at r >= min - 1 (a
+    breakdown at the operator's rank) or on at most DENSE_FALLBACK_SIZE
+    entries, use a dense SVD.
 
     A ``record`` dict is filled with how the solve ran, and changes nothing
     of it: ``shape``; ``path`` ("operator-gram", "matrix-gram", "propack",
@@ -263,7 +262,7 @@ def _solve(y, r, seed, exact, record):
         if y.gram is not None:
             record["path"] = "operator-gram"
             return _gram_pairs(y.gram(), r)
-        if min(rows, cols) <= DENSE_SVD_DIM or rows * cols <= DENSE_SVD_SIZE:
+        if rows * cols <= DENSE_SVD_SIZE:
             record["path"] = "matrix-gram"
             a = y.materialize()
             return _gram_pairs(a @ a.T, r) if rows <= cols else _gram_pairs(a.T @ a, r, a)

@@ -474,11 +474,11 @@ class LocalAttentionTrainer:
         )
 
 
-def train_lasatf(tensor, window, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
-                 attention_mode="power-decay", exact_svd=False, init=None):
-    attention = build_attention(window, f=f, mode=attention_mode)
-    trainer = LocalAttentionTrainer(tensor, window, attention, ranks, s=s, seed=seed,
-                                    regime=regime, exact_svd=exact_svd, init=init)
+def train_lasatf(tensor, window, f, ranks, s=1.0, seed=0, sweeps=4, exact_svd=False,
+                 init=None):
+    """The windowed model after ``sweeps`` sweeps, in the plain regime."""
+    trainer = LocalAttentionTrainer(tensor, window, build_attention(window, f=f), ranks,
+                                    s=s, seed=seed, exact_svd=exact_svd, init=init)
     for _ in range(sweeps):
         trainer.sweep()
     return trainer.snapshot()
@@ -534,11 +534,12 @@ class GlobalAttentionTrainer(LocalAttentionTrainer):
         self.ranks = tuple(ranks)
 
 
-def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, regime="plain",
-                 attention_mode="power-decay", exact_svd=False, init=None):
+def train_gasatf(tensor, f, ranks, s=1.0, seed=0, sweeps=4, attention_mode="power-decay",
+                 exact_svd=False, init=None):
+    """The whole-sequence model after ``sweeps`` sweeps, in the plain regime."""
     attention = build_attention(tensor.max_position, f=f, mode=attention_mode)
     trainer = GlobalAttentionTrainer(tensor, attention, ranks, s=s, seed=seed,
-                                     regime=regime, exact_svd=exact_svd, init=init)
+                                     exact_svd=exact_svd, init=init)
     for _ in range(sweeps):
         trainer.sweep()
     return trainer.snapshot()

@@ -194,6 +194,15 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        # Latin-1 "café" in a comment: PyYAML decodes the file and names the byte
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(b"seed: 0\n# caf\xe9\n")
+        assert main(["--config", str(cfg), "prepare"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed YAML in {cfg}: unacceptable "
+                              "character #x00e9") and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("extra", [
         {"dataset": 5}, {"split": 5}, {"model": 5}, {"split": None},
         {"core": "abc"}, {"n": 2.5}, {"budget": "10"}, {"patience": True},
@@ -543,7 +552,6 @@ class TestTune:
             raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
 
         monkeypatch.setattr(seqrec.linalg, "svds", propack_failing)
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_DIM", 0)
         monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         monkeypatch.setattr(np.linalg, "svd", failing)
         capsys.readouterr()
@@ -579,7 +587,6 @@ class TestTune:
             raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
 
         monkeypatch.setattr(seqrec.linalg, "svds", failing)
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_DIM", 0)
         monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         monkeypatch.setattr(seqrec.linalg, "DENSE_FALLBACK_SIZE", 0)
         capsys.readouterr()
@@ -677,11 +684,12 @@ class TestFinalAndReport:
         tensor = build_positional_tensor(merged, 4)
         if kind == "global":
             direct = train_gasatf(tensor, f=p["f"], ranks=(p["r1"], p["r2"], p["r3"]),
-                                  s=p["s"], seed=0, sweeps=sweeps, regime=p["regime"])
+                                  s=p["s"], seed=0, sweeps=sweeps)
         else:
             direct = train_lasatf(tensor, window=p["window"], f=p["f"],
                                   ranks=(p["r1"], p["r2"], p["r3"], p["r4"]),
-                                  s=p["s"], seed=0, sweeps=sweeps, regime=p["regime"])
+                                  s=p["s"], seed=0, sweeps=sweeps)
+        direct = dataclasses.replace(direct, regime=p["regime"])
         save_model(direct, tmp_path / "direct.npz")
 
         def arrays(path):

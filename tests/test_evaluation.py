@@ -146,14 +146,14 @@ def _model(kind, train):
         tensor = build_positional_tensor(train, 1)
         if kind == "global-k1":
             return train_gasatf(tensor, f=1.0, ranks=(2, 2, 1), s=0.5, seed=0, sweeps=2)
-        return train_lasatf(tensor, window=1, f=0.5, ranks=(2, 2, 1, 1), s=0.5, seed=0,
-                            sweeps=2, regime="restored")
+        return dataclasses.replace(train_lasatf(tensor, window=1, f=0.5, ranks=(2, 2, 1, 1),
+                                                s=0.5, seed=0, sweeps=2), regime="restored")
     tensor = build_positional_tensor(train, 4)
     if kind == "global":
-        return train_gasatf(tensor, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0, sweeps=2,
-                            regime="restored")
-    return train_lasatf(tensor, window=2, f=0.5, ranks=(4, 3, 2, 2), s=0.5, seed=0,
-                        sweeps=2, regime=kind.split("-")[1])
+        return dataclasses.replace(train_gasatf(tensor, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0,
+                                                sweeps=2), regime="restored")
+    return dataclasses.replace(train_lasatf(tensor, window=2, f=0.5, ranks=(4, 3, 2, 2), s=0.5,
+                                            seed=0, sweeps=2), regime=kind.split("-")[1])
 
 
 @pytest.fixture

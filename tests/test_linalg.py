@@ -11,7 +11,6 @@ import seqrec.linalg
 from seqrec.attention import build_attention
 from seqrec.linalg import (
     DENSE_FALLBACK_SIZE,
-    DENSE_SVD_DIM,
     DENSE_SVD_SIZE,
     LANCZOS_BASIS_FACTOR,
     MIN_LANCZOS_BASIS,
@@ -141,7 +140,7 @@ class TestTruncatedSvd:
         # 300 x 300 has exactly DENSE_SVD_SIZE entries: dense at the limit,
         # PROPACK once it holds one entry more than the limit
         a = np.random.default_rng(5).standard_normal((300, 300))
-        assert a.size == DENSE_SVD_SIZE and min(a.shape) > DENSE_SVD_DIM
+        assert a.size == DENSE_SVD_SIZE
         calls = []
         svds = seqrec.linalg.svds
         monkeypatch.setattr(seqrec.linalg, "svds", lambda *args, **kwargs:
@@ -178,8 +177,8 @@ def _assert_matches_oracle(a, u, s):
 
 
 class TestPropackSolver:
-    """The iterative path on operators with both sides past DENSE_SVD_DIM,
-    with DENSE_SVD_SIZE at 0 so that the small ones reach it too."""
+    """The iterative path, with DENSE_SVD_SIZE at 0 so that small operators
+    reach it."""
 
     @pytest.fixture(autouse=True)
     def no_dense_size(self, monkeypatch):
@@ -190,7 +189,6 @@ class TestPropackSolver:
         # r = rank + 1: PROPACK draws a restart vector from its own generator,
         # so the result repeats only when that generator is seeded too
         a = _low_rank(*shape, 5, seed=16)
-        assert min(shape) > DENSE_SVD_DIM
         u1, s1 = truncated_svd(_iterative_only(a), 6, seed=11)
         u2, s2 = truncated_svd(_iterative_only(a), 6, seed=11)
         assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
@@ -509,10 +507,10 @@ class TestGramSolve:
         assert _principal_angle(u[:, :3], np.linalg.svd(a)[0][:, :3]) < 1e-8
 
     def test_carried_gram_at_any_size(self, monkeypatch):
-        # 40 x 2400 is past both DENSE_SVD_DIM and DENSE_SVD_SIZE: its Gram is
-        # solved, and the operator is never applied or materialized
+        # 40 x 2400 is past DENSE_SVD_SIZE: its Gram is solved, and the
+        # operator is never applied or materialized
         a = np.random.default_rng(5).standard_normal((40, 2400))
-        assert min(a.shape) > DENSE_SVD_DIM and a.size > DENSE_SVD_SIZE
+        assert a.size > DENSE_SVD_SIZE
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
         y = _with_gram(a)
         y.matvec = y.rmatvec = y.dense = None

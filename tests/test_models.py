@@ -25,7 +25,7 @@ import seqrec.models
 from seqrec.evaluation import _top_n
 from seqrec.attention import AttentionMatrix, build_attention
 from seqrec.data import SparsePositionalTensor, build_positional_tensor
-from seqrec.linalg import DENSE_SVD_DIM, ImplicitMatrix, random_orthonormal, skew_block_cache
+from seqrec.linalg import ImplicitMatrix, random_orthonormal, skew_block_cache
 from seqrec.models import (
     ColdUserError,
     GlobalAttentionTrainer,
@@ -130,9 +130,9 @@ class TestPureSVD:
 
     @pytest.mark.parametrize("s", [0.0, 0.4])
     def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
-        # 60 x 50 at rank 5 is past DENSE_SVD_DIM and, with DENSE_SVD_SIZE at 0,
-        # goes to one PROPACK solve, then the one-vector solve on the deflated
-        # operator that finds no missed copy
+        # 60 x 50 at rank 5, with DENSE_SVD_SIZE at 0, goes to one PROPACK
+        # solve, then the one-vector solve on the deflated operator that finds
+        # no missed copy
         monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
         dense = np.random.default_rng(3).random((60, 50)) < 0.2
         rows = [(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))]
@@ -261,13 +261,12 @@ def _la_operator_case(m, n, k, window, ranks, seed):
 
 
 class TestLongWindowOperators:
-    """Windows longer than DENSE_SVD_DIM: the explicit mode-3 unfolding is wide
-    enough for the iterative solver once DENSE_SVD_SIZE is 0."""
+    """Windows of 34: the explicit mode-3 unfolding is wide enough for the
+    iterative solver once DENSE_SVD_SIZE is 0."""
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_matches_dense_oracle(self, mode):
         window = 34
-        assert window > DENSE_SVD_DIM
         tensor, factors, att, refs, rng = _la_operator_case(9, 7, 40, window, (3, 2, 2, 3), 5)
         cache = skew_block_cache(factors["W_A"], factors["W_S"]) if mode in (1, 2) else None
         op = la_mode_operator(tensor, factors, att, cache, mode)
@@ -447,13 +446,31 @@ class TestIterativeAgreesWithExact:
             exact_svd=exact), [(50, 100), (80, 50)], ("u", "v", "w_l", "w_s"))
 
     def test_local_long_window_mode_three(self, monkeypatch):
-        # window 34 > DENSE_SVD_DIM: the 34 x r4*r2*r1 unfolding is past the
-        # dense limits, yet mode 3 takes its window x window Gram, not PROPACK
+        # window 34: the 34 x r4*r2*r1 unfolding is past the dense limits,
+        # yet mode 3 takes its window x window Gram, not PROPACK
         tensor = random_tensor(30, 40, 40, seed=1, min_len=5)
         shapes = _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
             tensor, 34, build_attention(34, f=1.0), (4, 4, 2, 3), seed=0,
             exact_svd=exact), [], ("u", "v", "w_l", "w_s"))
         assert (34, 3 * 4 * 4) not in shapes
+
+
+def test_natural_size_mode_one_reaches_propack(monkeypatch):
+    # a mode 1 of 1000 x r2*r3 = 100 at r1 = 20, about ga-k32's 995 x 100, is
+    # past DENSE_SVD_SIZE as it stands: PROPACK runs on a basis that spans the
+    # short side, with no size limit lowered
+    tensor = random_tensor(1000, 60, 8, seed=5, min_len=2)
+    trainers = []
+
+    def make(exact):
+        trainers.append(GlobalAttentionTrainer(tensor, build_attention(8, f=1.0), (20, 25, 4),
+                                               seed=0, exact_svd=exact))
+        return trainers[-1]
+
+    assert 1000 * 25 * 4 > seqrec.linalg.DENSE_SVD_SIZE
+    _assert_iterative_agrees(monkeypatch, make, [(1000, 100)], ("u", "v", "w_l"), sweeps=2)
+    paths = {(r["mode"], r["path"]) for r in trainers[0].solves}
+    assert paths == {(1, "propack"), (2, "matrix-gram"), (3, "operator-gram")}
 
 
 def _no_svd_sweeps(monkeypatch, trainer, sweeps):
@@ -842,11 +859,11 @@ class TestScoring:
         tensor = random_tensor(9, 8, 5, seed=10, min_len=2)
         k = 5
         if kind == "global":
-            model = train_gasatf(tensor, f=0.5, ranks=(4, 4, 2), s=0.5, seed=2, sweeps=2,
-                                 regime=regime)
+            model = train_gasatf(tensor, f=0.5, ranks=(4, 4, 2), s=0.5, seed=2, sweeps=2)
         else:
             model = train_lasatf(tensor, window=2, f=0.5, ranks=(4, 4, 2, 2), s=0.5, seed=2,
-                                 sweeps=2, regime=regime)
+                                 sweeps=2)
+        model = dataclasses.replace(model, regime=regime)
         window = model.attention.size
         a = model.attention.dense()
         left = a @ model.w_l @ np.linalg.solve(a.T, model.w_l)[-1]
@@ -970,8 +987,8 @@ class TestSerialization:
         return {
             "mp": train_mp(log),
             "svd": dataclasses.replace(train_puresvd(log, r=3, s=0.5), regime="restored"),
-            "global": train_gasatf(x, f=1.0, ranks=(4, 3, 2), s=0.5, seed=0,
-                                   sweeps=2, regime="restored"),
+            "global": dataclasses.replace(train_gasatf(x, f=1.0, ranks=(4, 3, 2), s=0.5,
+                                                       seed=0, sweeps=2), regime="restored"),
             "local": train_lasatf(x, window=2, f=0.5, ranks=(4, 3, 2, 2),
                                   seed=0, sweeps=2),
         }
@@ -1013,8 +1030,9 @@ class TestSerialization:
             "svd-dense": dataclasses.replace(train_puresvd(log, r=3, s=0.5),
                                              regime="restored"),
             "global": train_gasatf(x, f=1.0, ranks=(5, 4, 2), s=0.5, seed=0, sweeps=2),
-            "local": train_lasatf(x, window=3, f=0.5, ranks=(5, 4, 2, 2), s=0.4, seed=0,
-                                  sweeps=2, regime="restored"),
+            "local": dataclasses.replace(train_lasatf(x, window=3, f=0.5, ranks=(5, 4, 2, 2),
+                                                      s=0.4, seed=0, sweeps=2),
+                                         regime="restored"),
             "global-snapshot": ga.snapshot(),
             "local-snapshot": la.snapshot(),
         }

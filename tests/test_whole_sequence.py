@@ -1,5 +1,7 @@
 """Whole-sequence attention is the windowed model at window = K."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,11 @@ def test_global_equals_windowed_at_window_k(monkeypatch, exact_svd, regime, shap
     monkeypatch.setattr(seqrec.models, "la_mode_operator", recording)
     tensor = random_tensor(*shape, seed=3, min_len=2)
     k = shape[2]
-    common = dict(s=0.5, seed=1, regime=regime, exact_svd=exact_svd)
-    ga = GlobalAttentionTrainer(tensor, build_attention(k, f=1.0), ranks, **common)
-    la = LocalAttentionTrainer(tensor, k, build_attention(k, f=1.0), (*ranks, 1), **common)
+    common = dict(s=0.5, seed=1, exact_svd=exact_svd)
+    ga = GlobalAttentionTrainer(tensor, build_attention(k, f=1.0), ranks, regime=regime,
+                                **common)
+    la = LocalAttentionTrainer(tensor, k, build_attention(k, f=1.0), (*ranks, 1),
+                               regime=regime, **common)
     for _ in range(3):
         ga.sweep()
         la.sweep()
@@ -46,15 +50,18 @@ def test_global_equals_windowed_at_window_k(monkeypatch, exact_svd, regime, shap
     assert solves[0] == solves[1] and len(solves[0]) == 3 * 3
     assert [r["mode"] for r in ga.solves] == [1, 2, 3] * 3
 
-    ga_model = train_gasatf(tensor, f=1.0, ranks=ranks, sweeps=3, **common)
-    la_model = train_lasatf(tensor, window=k, f=1.0, ranks=(*ranks, 1), sweeps=3, **common)
+    ga_model = dataclasses.replace(train_gasatf(tensor, f=1.0, ranks=ranks, sweeps=3, **common),
+                                   regime=regime)
+    la_model = dataclasses.replace(
+        train_lasatf(tensor, window=k, f=1.0, ranks=(*ranks, 1), sweeps=3, **common),
+        regime=regime)
     for hist in ([0], [2, 5], [1, 3, 4, 7]):
         assert np.array_equal(ga_model.score_history(hist), la_model.score_history(hist))
     assert modes and 4 not in modes
 
     # with two offsets the table has a fourth entry, and each sweep four solves
     windowed = LocalAttentionTrainer(tensor, k - 1, build_attention(k - 1, f=1.0), (*ranks, 1),
-                                     **common)
+                                     regime=regime, **common)
     for _ in range(3):
         windowed.sweep()
     assert [(r["sweep"], r["mode"]) for r in windowed.solves] == [
