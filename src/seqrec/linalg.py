@@ -74,16 +74,21 @@ class ImplicitMatrix:
                               rmatvec=lambda y: self.rmatvec(np.ravel(y)))
 
     def materialize(self):
-        """Dense matrix from ``dense`` when set, else built column-by-column (or
-        row-by-row, whichever is smaller)."""
+        """Dense matrix from ``dense`` when set, else written into one array
+        column-by-column (or row-by-row, whichever is smaller) by unit applies."""
         if self.dense is not None:
             return self.dense()
         rows, cols = self.shape
-        if cols <= rows:
-            eye = np.eye(cols)
-            return np.column_stack([self.matvec(eye[:, c]) for c in range(cols)])
-        eye = np.eye(rows)
-        return np.vstack([self.rmatvec(eye[:, r]) for r in range(rows)])
+        out = np.empty((rows, cols))
+        unit = np.zeros(min(rows, cols))
+        for k in range(unit.size):
+            unit[k] = 1.0
+            if cols <= rows:
+                out[:, k] = self.matvec(unit)
+            else:
+                out[k] = self.rmatvec(unit)
+            unit[k] = 0.0
+        return out
 
 
 def random_orthonormal(n, r, seed):

@@ -104,5 +104,6 @@ def test_traced_pipeline_runs(tmp_path, kind):
         assert served[key] == report[key], key
     assert served["consistent"]
     if kind == "svd":
-        spans = (tmp_path / "spans-tune.jsonl").read_text().splitlines()
-        assert any(json.loads(span)["name"] == "linalg.svds" for span in spans)
+        for step in ("tune", "final"):
+            spans = (tmp_path / f"spans-{step}.jsonl").read_text().splitlines()
+            assert any(json.loads(span)["name"] == "linalg.svds" for span in spans), step

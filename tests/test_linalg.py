@@ -732,6 +732,22 @@ class TestImplicitMatrix:
         assert np.allclose(_implicit_from_dense(wide).materialize(), wide)
         assert np.allclose(_implicit_from_dense(tall).materialize(), tall)
 
+    @pytest.mark.parametrize("shape", [(300, 2000), (2000, 300)])
+    def test_materialize_holds_only_its_output(self, shape):
+        # one rows x cols array: no identity, list of applies or stacked copy beside it
+        import tracemalloc
+
+        a = np.random.default_rng(6).standard_normal(shape)
+        y = _implicit_from_dense(a)
+        tracemalloc.start()
+        try:
+            dense = y.materialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * dense.nbytes
+        assert dense.flags.c_contiguous and np.array_equal(dense, a)
+
 
 def _skew_blocks_oracle(w_a, w_s):
     """Direct definition: block[q] = W_A^T H(e_q) W_S via the triple loop."""
