@@ -352,7 +352,8 @@ def timepoint_split(log, t_valid, t_test):
     A boundary timestamp belongs to the later split. Users/items appearing only
     in validation or test keep their indices; they are skipped at scoring time.
     """
-    if t_valid >= t_test:
+    # equal boundaries leave validation empty, which is reported with the others
+    if t_valid > t_test:
         raise DataError("t_valid must be < t_test")
     ts = log.timestamps
     train_mask = ts < t_valid

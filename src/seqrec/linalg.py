@@ -123,8 +123,8 @@ def _propack(op, k, rng, record, search=False):
                         for f in (LANCZOS_BASIS_FACTOR, RETRY_BASIS_FACTOR))
 
     def run(basis):
-        return svds(op, k=k, v0=rng.standard_normal(op.shape[0]), tol=tol, maxiter=basis,
-                    solver="propack", return_singular_vectors=vectors, rng=rng)
+        return svds(op.to_linear_operator(), k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
+                    maxiter=basis, solver="propack", return_singular_vectors=vectors, rng=rng)
 
     state = rng.bit_generator.state
     try:
@@ -144,13 +144,11 @@ def _propack(op, k, rng, record, search=False):
 
 def _deflated(op, u):
     """(I - U U^T) A: the operator with the columns of U projected out of its range."""
-    from scipy.sparse.linalg import LinearOperator
-
     def project(x):
         return x - u @ (u.T @ x)
 
-    return LinearOperator(shape=op.shape, dtype=float, matvec=lambda x: project(op.matvec(x)),
-                          rmatvec=lambda y: op.rmatvec(project(y)))
+    return ImplicitMatrix(op.shape, lambda x: project(op.matvec(x)),
+                          lambda y: op.rmatvec(project(y)))
 
 
 def _checked_propack(op, r, rng, record):
@@ -191,10 +189,7 @@ def _gram_pairs(g, r, a=None):
     and sqrt(lambda_{r+1}) (None past the last eigenvalue): directly for
     g = A A^T (``a`` None), and through U = qr(A Q_r) for g = A^T A, whose
     top eigenvectors Q_r are the right singular vectors."""
-    try:
-        lam, q = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+    lam, q = np.linalg.eigh(g)
     lam, q = lam[::-1], q[:, ::-1][:, :r]
     if a is not None:
         q, _ = np.linalg.qr(a @ q)
@@ -228,35 +223,37 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     completion. Otherwise the solve, narrow operators' too, is PROPACK's,
     seeded by ``seed``. ``exact``, and PROPACK failures at r >= min - 1 (a
     breakdown at the operator's rank) or on at most DENSE_FALLBACK_SIZE
-    entries, use a dense SVD.
+    entries, use a dense SVD. Any LinAlgError the path raises surfaces as
+    ConvergenceError("truncated SVD failed to converge: ..."), the CLI's exit 1.
 
-    A ``record`` dict is filled with how the solve ran, and changes nothing
-    of it: ``shape``; ``path`` ("operator-gram", "matrix-gram", "propack",
-    "dense-fallback" or "exact"); ``applies`` of the operator, split into
-    "solve", "check" and "miss" (the search for missed triplets and the
-    fetch of each); PROPACK basis ``retries``; ``misses`` found;
-    ``seconds``; ``sigma1``; ``fit``, the sum of s ** 2; and ``gap``,
-    s[r-1] / s[r], or None where the path has no s[r]. The Gram paths read
-    s[r] from the next eigenvalue and the dense SVD from its own values;
-    PROPACK reads the deflated search's, an estimate to MISS_SEARCH_TOL only.
+    The solve fills ``record``, or a private dict when none is passed, with
+    how it ran, and the record changes nothing of it: ``shape``; ``path``
+    ("operator-gram", "matrix-gram", "propack", "dense-fallback" or "exact");
+    ``applies`` of the operator, split into "solve", "check" and "miss" (the
+    search for missed triplets and the fetch of each); PROPACK basis
+    ``retries``; ``misses`` found; ``seconds``; ``sigma1``; ``fit``, the sum
+    of s ** 2; and ``gap``, s[r-1] / s[r], or None where the path has no
+    s[r]. The Gram paths read s[r] from the next eigenvalue and the dense SVD
+    from its own values; PROPACK reads the deflated search's, an estimate to
+    MISS_SEARCH_TOL only.
     A solve that raises leaves its path, applies, retries and seconds.
     """
     rows, cols = y.shape
     if r > min(rows, cols):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
     start = time.perf_counter()
-    tally = {} if record is None else record
-    tally.update(shape=(rows, cols), path=None, retries=0, misses=0, phase="solve",
-                 applies={"solve": 0, "check": 0, "miss": 0})
-    if record is not None:
-        y = _counted(y, record)
+    record = {} if record is None else record
+    record.update(shape=(rows, cols), path=None, retries=0, misses=0, phase="solve",
+                  applies={"solve": 0, "check": 0, "miss": 0})
     try:
-        u, s, after = _solve(y, r, seed, exact, tally)
+        u, s, after = _solve(_counted(y, record), r, seed, exact, record)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
     finally:
-        del tally["phase"]
-        tally["seconds"] = time.perf_counter() - start
+        del record["phase"]
+        record["seconds"] = time.perf_counter() - start
     gap = None if after is None else float(s[-1] / after) if after > 0 else math.inf
-    tally.update(sigma1=float(s[0]), fit=float(np.sum(s ** 2)), gap=gap)
+    record.update(sigma1=float(s[0]), fit=float(np.sum(s ** 2)), gap=gap)
     return u, s
 
 
@@ -273,16 +270,12 @@ def _solve(y, r, seed, exact, record):
             return _gram_pairs(a @ a.T, r) if rows <= cols else _gram_pairs(a.T @ a, r, a)
         record["path"] = "propack"
         try:
-            return _checked_propack(y.to_linear_operator(), r, np.random.default_rng(seed),
-                                    record)
-        except np.linalg.LinAlgError as exc:
+            return _checked_propack(y, r, np.random.default_rng(seed), record)
+        except np.linalg.LinAlgError:
             if r < min(rows, cols) - 1 and rows * cols > DENSE_FALLBACK_SIZE:
-                raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+                raise
     record["path"], record["phase"] = ("exact" if exact else "dense-fallback"), "solve"
-    try:
-        u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"truncated SVD failed to converge: {exc}") from exc
+    u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
     return u[:, :r], s[:r], s[r] if r < len(s) else None
 
 

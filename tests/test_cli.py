@@ -134,6 +134,15 @@ class TestPrepare:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_count_boundaries_tied_at_the_test_boundary_exit_1(self, tmp_path, capsys):
+        # the 3-event test tail starts at t = 3, and the 1-event validation
+        # tail of the 9 events before it would start there too: validation
+        # is empty, and no boundary the config never set is named
+        cfg, out = _toy_config(tmp_path, split={"valid_count": 1, "test_count": 3})
+        assert main(["--config", str(cfg), "prepare"]) == 1
+        assert capsys.readouterr().err == "error: validation split is empty\n"
+        assert not out.exists()
+
     def test_directory_dataset_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "config.yaml"
         _write_config(cfg, seed=0, dataset={"path": str(tmp_path)},

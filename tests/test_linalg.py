@@ -35,13 +35,16 @@ def _implicit_from_dense(a):
 
 
 def _iterative_only(a):
-    """Implicit view of ``a`` that fails if the dense fallback materializes it."""
+    """Implicit view of ``a`` that fails if the dense fallback materializes it.
+
+    It refuses through its ``dense`` builder, which the solve's counted copy
+    of the operator keeps; a replaced ``materialize`` would be dropped."""
     y = _implicit_from_dense(a)
 
     def refuse():
         raise AssertionError("dense fallback taken")
 
-    y.materialize = refuse
+    y.dense = refuse
     return y
 
 
@@ -283,7 +286,7 @@ class TestPropackSolver:
         monkeypatch.setattr(seqrec.linalg, "svds", propack)
         y = ImplicitMatrix((3000, 2000), matvec=lambda x: np.zeros(3000),
                            rmatvec=lambda x: np.zeros(2000))
-        y.materialize = lambda: pytest.fail("dense fallback taken")
+        y.dense = lambda: pytest.fail("dense fallback taken")
         assert 3000 * 2000 > DENSE_FALLBACK_SIZE
         with pytest.raises(ConvergenceError, match=message):
             truncated_svd(y, 5, seed=0)
@@ -709,6 +712,43 @@ class TestSolveRecord:
             truncated_svd(y, 5, seed=0, record=record)
         assert record["path"] == "propack" and record["seconds"] >= 0
         assert "sigma1" not in record and "phase" not in record
+
+
+def _raising(name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+    return fail
+
+
+@pytest.mark.parametrize("shape, raising, path", [
+    ((6, 9), ["eigh"], "operator-gram"),
+    ((6, 9), ["eigh"], "matrix-gram"),
+    ((9, 6), ["qr"], "matrix-gram"),
+    ((50, 40), ["svds", "svd"], "dense-fallback"),
+    ((6, 9), ["svd"], "exact"),
+    ((3000, 2000), ["svds"], "propack"),  # past DENSE_FALLBACK_SIZE: no dense matrix
+], ids=["operator-gram-eigh", "wide-matrix-gram-eigh", "tall-matrix-gram-qr",
+        "dense-fallback-svd", "exact-svd", "large-propack"])
+def test_linalg_error_of_each_path_is_one_convergence_error(monkeypatch, shape, raising, path):
+    # each listed call raises; the last one to run is the one reported
+    for name in raising:
+        monkeypatch.setattr(seqrec.linalg if name == "svds" else np.linalg, name,
+                            _raising(name))
+    if path == "dense-fallback":
+        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+    if path == "propack":
+        y = ImplicitMatrix(shape, matvec=lambda x: np.zeros(shape[0]),
+                           rmatvec=lambda x: np.zeros(shape[1]))
+        y.dense = lambda: pytest.fail("dense fallback taken")
+    else:
+        a = np.random.default_rng(27).standard_normal(shape)
+        y = _with_gram(a) if path == "operator-gram" else _implicit_from_dense(a)
+    record = {}
+    with pytest.raises(ConvergenceError) as info:
+        truncated_svd(y, 3, seed=0, exact=path == "exact", record=record)
+    assert str(info.value) == f"truncated SVD failed to converge: {raising[-1]} did not converge"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert record["path"] == path
 
 
 class TestImplicitMatrix:
