@@ -1,5 +1,6 @@
-"""Numerical kernels: implicit-operator truncated SVD, orthonormal init, and the
-shift stack that every Hankel (skew-diagonal) product is built from."""
+"""Numerical kernels: implicit-operator truncated SVD, a seeded random
+orthonormal matrix, and the shift stack that every Hankel (skew-diagonal)
+product is built from."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ __all__ = [
     "skew_block_cache",
 ]
 
+# svds hands PROPACK tol**2, so PROPACK works to 1e-16 relative accuracy.
 SVD_TOL = 1e-8
 # PROPACK does not restart, so its basis must hold the whole run: scipy's 10 * r
 # stops short at small r (r = 2-20 took 46-204 steps on 300-2000-row matrices).

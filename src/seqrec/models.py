@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .attention import AttentionMatrix, build_attention, triangular_restore
 from .data import _read_archive, _write_archive
-from .linalg import (ImplicitMatrix, _shift_stack, random_orthonormal, skew_block_cache,
-                     truncated_svd)
+from .linalg import ImplicitMatrix, _shift_stack, skew_block_cache, truncated_svd
 
 __all__ = [
     "ColdUserError",
@@ -204,20 +203,34 @@ class SVDModel:
         return _project_scores(self, items, np.ones(len(items)))
 
 
+def _user_item_operator(users, items, shape, d):
+    """The scaled item x user matrix ``D X^T`` as an n x m operator, where X
+    (m x n) counts the (user, item) pairs. ``dense`` builds it with NumPy; the
+    CSR pair, and SciPy, is built on the first apply, which only PROPACK makes.
+    """
+    m, n = shape
+
+    @cache
+    def csr_pair():
+        import scipy.sparse as sp
+
+        x = sp.csr_matrix((np.ones(len(users)), (users, items)), shape=(m, n)) @ sp.diags(d)
+        return x.T.tocsr(), x
+
+    op = ImplicitMatrix(shape=(n, m), matvec=lambda z: csr_pair()[0] @ z,
+                        rmatvec=lambda z: csr_pair()[1] @ z)
+    op.dense = lambda: np.bincount(items * m + users, minlength=n * m).reshape(n, m) * d[:, None]
+    return op
+
+
 def train_puresvd(train, r, s=1.0, seed=0):
     """Top-r right singular vectors of the popularity-scaled binary matrix,
     scored in the plain regime (``dataclasses.replace`` sets another)."""
-    import scipy.sparse as sp
-
     m, n = train.n_users, train.n_items
     if r > min(m, n):
         raise ValueError(f"rank {r} infeasible for a {m} x {n} matrix")
     scaling = build_scaling(train.item_counts(), s, neutral_missing=True)
-    x = sp.csr_matrix(
-        (np.ones(len(train)), (train.users, train.items)), shape=(m, n)
-    ) @ sp.diags(scaling.d)
-    xt = x.T.tocsr()
-    op = ImplicitMatrix(shape=(n, m), matvec=lambda z: xt @ z, rmatvec=lambda z: x @ z)
+    op = _user_item_operator(train.users, train.items, (m, n), scaling.d)
     v, _ = truncated_svd(op, r, seed=seed)
     # C order, as load_model returns it: the layout decides how BLAS rounds scores
     return SVDModel(v=np.ascontiguousarray(v), scaling=scaling, regime="plain")
@@ -390,6 +403,15 @@ class LocalAttentionModel:
         return _project_scores(self, recent, profile[len(profile) - len(recent):])
 
 
+def _newest_slots(size, r):
+    """Unit vectors of the r newest of ``size`` right-aligned slots, newest
+    first. Each entry of the unattended hankelized tensor fills one skew
+    diagonal, so its window and offset Grams are diagonal, and right alignment
+    makes their weights grow toward the newest slot: these are their leading
+    eigenvectors."""
+    return np.eye(size)[:, ::-1][:, :r]
+
+
 def feasible_ranks(dims, ranks):
     """Tucker ranks fit dims: each r ≤ its mode's size and the others' product (r² ≤ Π)."""
     return all(r <= d and r * r <= math.prod(ranks) for r, d in zip(ranks, dims))
@@ -425,15 +447,30 @@ class LocalAttentionTrainer:
         self.seed = seed
         self.regime = regime
         self.exact_svd = exact_svd
+        # A factor init does not supply starts without a draw: V from the
+        # user-item spectrum, W_L and W_S as the newest window rows and offsets.
         init = init or {}
-        self.v = init.get("V", random_orthonormal(n, r2, seed))
-        self.w_l = init.get("W_L", random_orthonormal(window, r3, seed + 1))
-        self.w_s = init.get("W_S", random_orthonormal(k_s, r4, seed + 2))
+        self.v = init["V"] if "V" in init else self._spectral_start(r2)
+        self.w_l = init.get("W_L", _newest_slots(window, r3))
+        self.w_s = init.get("W_S", _newest_slots(k_s, r4))
         self.w_a = attention.apply(self.w_l)
         self.u = None
         self.sweep_count = 0
         self.fit_history = []
         self.solves = []
+
+    def _spectral_start(self, r):
+        """The leading r left singular vectors of the scaled item x user matrix
+        ``D X^T`` of the tensor's (user, item) entries: HOSVD's start for V.
+        This solve is not a sweep's, so ``solves`` does not keep it. Past the
+        user count, where the matrix has fewer columns than r, they are the
+        leading eigenvectors of the item Gram ``D X^T X D``."""
+        m, n, _ = self.tensor.shape
+        op = _user_item_operator(self.tensor.users, self.tensor.items, (m, n), self.scaling.d)
+        if r <= m:
+            return truncated_svd(op, r, seed=self.seed, exact=self.exact_svd)[0]
+        a = op.dense()
+        return np.linalg.eigh(a @ a.T)[1][:, ::-1][:, :r]
 
     def _factors(self, cores=None):
         return {"U": self.u, "V": self.v, "W_A": self.w_a, "W_S": self.w_s,

@@ -39,6 +39,7 @@ print(json.dumps([[name, attrs.get("mode")] for _, _, name, _, _, attrs in trace
 
 
 def test_tracer_sees_every_mode_of_a_sweep():
+    # each trainer first solves V's start, which no mode operator tags; then
     # one LA sweep at window < K solves modes 1-4, one GA sweep modes 1-3
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "seqbench"), str(ROOT / "src"), str(ROOT / "tests")]))
@@ -47,7 +48,7 @@ def test_tracer_sees_every_mode_of_a_sweep():
     assert done.returncode == 0, done.stderr
     spans = json.loads(done.stdout)
     assert [mode for name, mode in spans if name == "linalg.truncated_svd"] == [
-        1, 2, 3, 4, 1, 2, 3]
+        None, 1, 2, 3, 4, None, 1, 2, 3]
     assert sum(name == "models.sweep" for name, _ in spans) == 2
 
 

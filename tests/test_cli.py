@@ -813,6 +813,7 @@ _NO_SOLVE = """
 import sys
 import numpy
 bare_numpy_loads_ma = "numpy.ma" in sys.modules
+bare_numpy_loads_random = "numpy.random" in sys.modules
 from pathlib import Path
 import seqrec
 bare_seqrec_loads = sorted(m for m in sys.modules if m.startswith("seqrec."))
@@ -827,16 +828,18 @@ for config in (path for path in paths if path.endswith(".yaml")):
 for path in (path for path in paths if path.endswith(".npz")):
     predict_next(load_model(path), [0, 1], 2)
 print("seqrec modules after import seqrec:", *bare_seqrec_loads)
+print("numpy.random loaded:", bare_numpy_loads_random, "numpy.random" in sys.modules)
 print("numpy.ma loaded:", bare_numpy_loads_ma, "numpy.ma" in sys.modules)
 print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_prepare_and_serving_load_no_scipy(tmp_path):
-    # a fresh process: this one has SciPy loaded already. Small GA/LA operators
-    # are solved densely, so prepare, tune and final need no SciPy either. Nor
-    # do they load numpy.ma, which numpy >= 2 imports on a plain np.unique call
-    # and numpy 1.x imports with numpy itself. A bare `import seqrec` imports
+    # a fresh process: this one has SciPy loaded already. Small GA/LA and
+    # PureSVD operators are solved densely, so prepare, tune and final need no
+    # SciPy either. Nor do they load numpy.ma, which numpy >= 2 imports on a
+    # plain np.unique call, or numpy.random, since HOOI starts without a draw;
+    # numpy 1.x imports both with numpy itself. A bare `import seqrec` imports
     # none of its modules. K = 40 takes the long-window paths, and at window 1
     # the window mode has one row, so every rank is 1.
     grid = {"r1": [2], "r2": [2], "f": [0.5], "s": [0.2], "regime": ["plain"]}
@@ -845,7 +848,9 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
                "local-window-1": ({"kind": "local", "window_values": [1],
                                    "grid": {**local["grid"], "r1": [1], "r2": [1]}}, 3),
                "global-k40": ({"kind": "global", "grid": {**grid, "r3": [1]}}, 40),
-               "local-k40": (local, 40)}
+               "local-k40": (local, 40),
+               "svd": ({"kind": "svd", "grid": {"rank": [1], "s": [0.5], "regime": ["plain"]}},
+                       3)}
     for name, (model, k) in configs.items():
         cfg, out = _toy_config(tmp_path, K=k, model=model, max_sweeps=2, patience=1)
         cfg.rename(tmp_path / f"{name}.yaml")
@@ -869,7 +874,7 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
         assert (tmp_path / "fresh" / name / "model.npz").exists()
         assert (tmp_path / "fresh" / name / "report.jsonl").exists()
     assert done.stdout.splitlines()[-1] == "scipy modules:"
-    assert done.stdout.splitlines()[-3] == "seqrec modules after import seqrec:"
-    ma_line = done.stdout.splitlines()[-2]
-    if ma_line != "numpy.ma loaded: True True":
-        assert ma_line == "numpy.ma loaded: False False"
+    assert done.stdout.splitlines()[-4] == "seqrec modules after import seqrec:"
+    for line, name in ((-3, "numpy.random"), (-2, "numpy.ma")):
+        if done.stdout.splitlines()[line] != f"{name} loaded: True True":
+            assert done.stdout.splitlines()[line] == f"{name} loaded: False False"

@@ -788,6 +788,65 @@ class TestLocalTrainer:
         for name in ("u", "v", "w_l", "w_s"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
 
+    def test_start_is_the_user_item_spectrum_and_the_newest_slots(self):
+        tensor = random_tensor(12, 9, 6, seed=9, min_len=2)
+        tr = LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2), s=0.5)
+        x = np.zeros((12, 9))
+        np.add.at(x, (tensor.users, tensor.items), 1.0)
+        u, sigma, _ = np.linalg.svd(tr.scaling.d[:, None] * x.T)
+        assert sigma[2] > 1.01 * sigma[3]
+        assert np.abs(tr.v @ tr.v.T - u[:, :3] @ u[:, :3].T).max() < 1e-8
+        assert np.array_equal(tr.w_l, [[0, 0], [0, 1], [1, 0]])
+        assert np.array_equal(tr.w_s, [[0, 0], [0, 0], [0, 1], [1, 0]])
+
+    def test_seed_reaches_no_eigensolve_sweep(self):
+        # every solve of this small tensor is an eigensolve and the start draws
+        # nothing, so the seed changes no bit
+        tensor = random_tensor(12, 9, 6, seed=9, min_len=2)
+
+        def swept(seed):
+            tr = LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2),
+                                       s=0.5, seed=seed)
+            tr.sweep()
+            return tr
+
+        a, b = swept(0), swept(7)
+        assert [r["path"] for r in a.solves] == ["matrix-gram"] * 2 + ["operator-gram"] * 2
+        assert a.fit_history == b.fit_history
+        for name in ("u", "v", "w_l", "w_s"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_supplied_v_runs_no_start_solve(self, monkeypatch):
+        calls = []
+        solve = seqrec.models.truncated_svd
+        monkeypatch.setattr(seqrec.models, "truncated_svd",
+                            lambda op, *args, **kwargs: calls.append(op.shape)
+                            or solve(op, *args, **kwargs))
+        tensor = random_tensor(12, 9, 6, seed=9, min_len=2)
+        att = build_attention(3, f=0.5)
+        v0 = random_orthonormal(9, 3, seed=1)
+        tr = LocalAttentionTrainer(tensor, 3, att, (4, 3, 2, 2), init={"V": v0})
+        assert not calls and tr.v is v0
+        tr = LocalAttentionTrainer(tensor, 3, att, (4, 3, 2, 2))
+        assert calls == [(9, 12)] and not tr.solves
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_start_past_the_user_count(self, kind):
+        # r2 = 4 items from 3 users: D X^T has rank 3 at most, and the start
+        # completes its range to 4 orthonormal columns
+        tensor = random_tensor(3, 8, 4, seed=2, min_len=2)
+        if kind == "local":
+            tr = LocalAttentionTrainer(tensor, 2, build_attention(2, f=0.5), (2, 4, 2, 1))
+        else:
+            tr = GlobalAttentionTrainer(tensor, build_attention(4, f=0.5), (2, 4, 2))
+        x = np.zeros((3, 8))
+        np.add.at(x, (tensor.users, tensor.items), 1.0)
+        assert tr.v.shape == (8, 4)
+        assert np.abs(tr.v.T @ tr.v - np.eye(4)).max() < 1e-12
+        assert np.abs(x.T - tr.v @ (tr.v.T @ x.T)).max() < 1e-12
+        tr.sweep()
+        assert np.isfinite(tr.fit_history).all()
+
     def test_window_and_rank_validation(self):
         tensor = random_tensor(4, 4, 3, seed=0)
         with pytest.raises(ValueError, match="window"):
