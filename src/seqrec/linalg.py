@@ -14,7 +14,6 @@ __all__ = [
     "ConvergenceError",
     "ImplicitMatrix",
     "SkewBlockCache",
-    "random_orthonormal",
     "truncated_svd",
     "skew_block_cache",
 ]
@@ -235,7 +234,8 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     search for missed triplets and the fetch of each); PROPACK basis
     ``retries``; ``misses`` found; ``seconds``; ``sigma1``; ``fit``, the sum
     of s ** 2; and ``gap``, s[r-1] / s[r], or None where the path has no
-    s[r]. The Gram paths read s[r] from the next eigenvalue and the dense SVD
+    s[r], which means nothing once s[r-1] is below the sqrt(eps) * s[0] noise
+    floor. The Gram paths read s[r] from the next eigenvalue and the dense SVD
     from its own values; PROPACK reads the deflated search's, an estimate to
     MISS_SEARCH_TOL only.
     A solve that raises leaves its path, applies, retries and seconds.

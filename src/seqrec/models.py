@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import AttentionMatrix, build_attention, triangular_restore
 from .data import _read_archive, _write_archive
-from .linalg import ImplicitMatrix, _shift_stack, skew_block_cache, truncated_svd
+from .linalg import ImplicitMatrix, _gram_pairs, _shift_stack, skew_block_cache, truncated_svd
 
 __all__ = [
     "ColdUserError",
@@ -26,7 +26,6 @@ __all__ = [
     "train_puresvd",
     "train_gasatf",
     "train_lasatf",
-    "ga_mode_operator",
     "la_mode_operator",
     "predict_next",
     "save_model",
@@ -277,6 +276,11 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     call. They reuse ``factors["cores"]`` (the :func:`_position_cores` of U
     and V) and its ``"core_gram"`` when set, and build them otherwise.
 
+    A mode reads every factor of U, V, W_A = A W_L and W_S but the one it
+    solves (mode 3 solves W_L: no W_A), checking their rows against m, n,
+    ``attention.size`` and K - ``attention.size`` + 1. Modes 1/2 build the
+    skew blocks of W_A and W_S unless given a ``cache`` of those two arrays.
+
     Modes 1/2 build their dense matrix directly (``dense``) from
     per-(row, position) sums of the entries, contracted with the skew blocks
     of r4*r3 positions per product. Modes 3/4 carry the Gram
@@ -284,12 +288,19 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     x window (offset x offset) ``sum_a S_a^T (C C^T) S_a`` over that stack;
     only ``exact_svd`` materializes them, from one apply per row or column.
     """
+    if mode not in (1, 2, 3, 4):
+        raise ValueError(f"mode must be 1..4, got {mode}")
     ii, jj, kk = tensor.users, tensor.items, tensor.positions - 1
     m, n, k = tensor.shape
-    scaling = factors["scaling"]
-    dvals = scaling.d[jj]
+    rows = {"U": m, "V": n, "W_A": attention.size, "W_S": k - attention.size + 1}
+    del rows[("U", "V", "W_A", "W_S")[mode - 1]]
+    if any(factors[name].shape[0] != size for name, size in rows.items()):
+        raise ValueError("factor shapes do not match tensor dimensions")
+    dvals = factors["scaling"].d[jj]
     if mode in (1, 2):
-        if cache is None or not cache.matches(factors["W_A"], factors["W_S"]):
+        if cache is None:
+            cache = skew_block_cache(factors["W_A"], factors["W_S"])
+        elif not cache.matches(factors["W_A"], factors["W_S"]):
             raise ValueError("stale skew-block cache: factors changed since it was built")
         _, r3, r4 = cache.blocks.shape
         # blocks[q] transposed and flattened to the (r4, r3) column order of z
@@ -333,33 +344,30 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
         op = ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
         op.dense = dense
         return op
-    if mode in (3, 4):
-        cores, core_gram = factors.get("cores"), factors.get("core_gram")
-        if cores is None:
-            cores, core_gram = _position_cores(tensor, dvals, factors["U"], factors["V"]), None
-        flat = cores.reshape(k, -1)
-        # shift[:, :, a] is S_a: the unfolding is [S_0^T C, S_1^T C, ...] over
-        # the flattened cores C. On mode 3 every shift[q] becomes A^T shift[q].
-        shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
-        if mode == 3:
-            shift = attention.apply_transpose(shift)
-        out_dim, r_shift = shift.shape[1:]
+    cores, core_gram = factors.get("cores"), factors.get("core_gram")
+    if cores is None:
+        cores, core_gram = _position_cores(tensor, dvals, factors["U"], factors["V"]), None
+    flat = cores.reshape(k, -1)
+    # shift[:, :, a] is S_a: the unfolding is [S_0^T C, S_1^T C, ...] over
+    # the flattened cores C. On mode 3 every shift[q] becomes A^T shift[q].
+    shift = _shift_stack(factors["W_S"] if mode == 3 else factors["W_A"], k)
+    if mode == 3:
+        shift = attention.apply_transpose(shift)
+    out_dim, r_shift = shift.shape[1:]
 
-        def matvec(z):
-            return np.einsum("qja,qa->j", shift, flat @ np.reshape(z, (r_shift, -1)).T)
+    def matvec(z):
+        return np.einsum("qja,qa->j", shift, flat @ np.reshape(z, (r_shift, -1)).T)
 
-        def rmatvec(y):
-            return (np.einsum("qja,j->qa", shift, y).T @ flat).ravel()
+    def rmatvec(y):
+        return (np.einsum("qja,j->qa", shift, y).T @ flat).ravel()
 
-        def gram():
-            c_ct = _core_gram(cores) if core_gram is None else core_gram
-            return np.tensordot(shift, np.tensordot(c_ct, shift, 1), axes=([0, 2], [0, 2]))
+    def gram():
+        c_ct = _core_gram(cores) if core_gram is None else core_gram
+        return np.tensordot(shift, np.tensordot(c_ct, shift, 1), axes=([0, 2], [0, 2]))
 
-        op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec,
-                            rmatvec=rmatvec)
-        op.gram = gram
-        return op
-    raise ValueError(f"mode must be 1..4, got {mode}")
+    op = ImplicitMatrix(shape=(out_dim, r_shift * flat.shape[1]), matvec=matvec, rmatvec=rmatvec)
+    op.gram = gram
+    return op
 
 
 @dataclass(frozen=True)
@@ -420,8 +428,8 @@ def feasible_ranks(dims, ranks):
 class LocalAttentionTrainer:
     """Alternating sweeps over the modes of the hankelized tensor: one solve
     per entry of ``modes``, whose ``truncated_svd`` record ``solves`` keeps
-    (a solve that raised included). Each sweep builds one skew-block cache of
-    W_A and W_S, which modes 1/2 share."""
+    (a solve that raised included). A sweep passes one factor dict to its
+    mode operators. ``init`` may supply V, W_L and W_S; other keys raise."""
 
     model_class = LocalAttentionModel
 
@@ -450,10 +458,11 @@ class LocalAttentionTrainer:
         # A factor init does not supply starts without a draw: V from the
         # user-item spectrum, W_L and W_S as the newest window rows and offsets.
         init = init or {}
+        if init.keys() - {"V", "W_L", "W_S"}:
+            raise ValueError(f"init takes V, W_L and W_S, got {sorted(init)}")
         self.v = init["V"] if "V" in init else self._spectral_start(r2)
         self.w_l = init.get("W_L", _newest_slots(window, r3))
         self.w_s = init.get("W_S", _newest_slots(k_s, r4))
-        self.w_a = attention.apply(self.w_l)
         self.u = None
         self.sweep_count = 0
         self.fit_history = []
@@ -470,30 +479,25 @@ class LocalAttentionTrainer:
         if r <= m:
             return truncated_svd(op, r, seed=self.seed, exact=self.exact_svd)[0]
         a = op.dense()
-        return np.linalg.eigh(a @ a.T)[1][:, ::-1][:, :r]
-
-    def _factors(self, cores=None):
-        return {"U": self.u, "V": self.v, "W_A": self.w_a, "W_S": self.w_s,
-                "scaling": self.scaling, "cores": cores}
+        return _gram_pairs(a @ a.T, r)[0]
 
     def sweep(self):
-        cache, cores, core_gram = skew_block_cache(self.w_a, self.w_s), None, None
+        factors = {"U": self.u, "V": self.v, "W_A": self.attention.apply(self.w_l),
+                   "W_S": self.w_s, "scaling": self.scaling}
         for mode, rank in self.modes:
             self.solves.append({"sweep": self.sweep_count + 1, "mode": mode})
-            op = la_mode_operator(self.tensor, self._factors(cores) | {"core_gram": core_gram},
-                                  self.attention, cache, mode)
+            op = la_mode_operator(self.tensor, factors, self.attention, None, mode)
             seed = self.seed + 1000 + 10 * self.sweep_count + mode
             factor, _ = truncated_svd(op, rank, seed=seed, exact=self.exact_svd,
                                       record=self.solves[-1])
             setattr(self, ("u", "v", "w_l", "w_s")[mode - 1], factor)
+            factors[("U", "V", "W_A", "W_S")[mode - 1]] = (
+                self.attention.apply(factor) if mode == 3 else factor)
             if mode == 2:
-                # U and V are fixed for the rest of the sweep, so modes 3 and 4
-                # share one set of position cores and their Gram.
+                # U and V stay fixed: modes 3/4 share one set of position cores and its Gram
                 cores = _position_cores(self.tensor, self.scaling.d[self.tensor.items],
                                         self.u, self.v)
-                core_gram = _core_gram(cores)
-            elif mode == 3:
-                self.w_a = self.attention.apply(self.w_l)
+                factors.update(cores=cores, core_gram=_core_gram(cores))
         self.sweep_count += 1
         self.fit_history.append(self.solves[-1]["fit"])
 
@@ -526,21 +530,15 @@ def train_lasatf(tensor, window, f, ranks, s=1.0, seed=0, sweeps=4, exact_svd=Fa
 
 
 def ga_mode_operator(tensor, factors, attention, scaling, mode):
-    """Compressed unfolding of the tensor scaled by the item diagonal on mode 2
-    with the attention transpose applied on mode 3.
-
-    This is the windowed operator at window = K, whose single offset carries
-    the factor W_S = [[1]]; the column orders of the three modes coincide.
+    """The windowed operator at window = K, whose single offset carries the
+    factor W_S = [[1]]: the tensor scaled by the item diagonal on mode 2, with
+    the attention transpose applied on mode 3, in the same column orders.
+    :func:`la_mode_operator` checks the factors and builds the skew blocks.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
-    rows = dict(zip(("U", "V", "W_A"), tensor.shape))
-    needed = {1: ("V", "W_A"), 2: ("U", "W_A"), 3: ("U", "V")}[mode]
-    if any(factors[name].shape[0] != rows[name] for name in needed):
-        raise ValueError("factor shapes do not match tensor dimensions")
     factors = dict(factors, W_S=np.ones((1, 1)), scaling=scaling)
-    cache = skew_block_cache(factors["W_A"], factors["W_S"]) if mode < 3 else None
-    return la_mode_operator(tensor, factors, attention, cache, mode)
+    return la_mode_operator(tensor, factors, attention, None, mode)
 
 
 class GlobalAttentionModel(LocalAttentionModel):
@@ -561,12 +559,12 @@ class GlobalAttentionTrainer(LocalAttentionTrainer):
 
     def __init__(self, tensor, attention, ranks, s=1.0, seed=0,
                  regime="plain", exact_svd=False, init=None):
-        init = dict(init or {})
-        if "W" in init:
-            init["W_L"] = init.pop("W")
-        init["W_S"] = np.ones((1, 1))
+        init = init or {}
+        if init.keys() - {"V", "W", "W_L"} or {"W", "W_L"} <= init.keys():
+            raise ValueError(f"init takes V and one of W or W_L, got {sorted(init)}")
+        init = {"W_L" if key == "W" else key: val for key, val in init.items()}
         super().__init__(tensor, tensor.shape[2], attention, (*ranks, 1), s=s, seed=seed,
-                         regime=regime, exact_svd=exact_svd, init=init)
+                         regime=regime, exact_svd=exact_svd, init=init | {"W_S": np.ones((1, 1))})
         # the model and its saved meta keep the caller's three ranks
         self.ranks = tuple(ranks)
 

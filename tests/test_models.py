@@ -246,6 +246,26 @@ class TestLocalModeOperators:
             la_mode_operator(tensor, {"scaling": build_scaling([1, 1, 1], 1)},
                              build_attention(2, f=0.0), None, 0)
 
+    @pytest.mark.parametrize("mode, name", [
+        (1, "V"), (1, "W_A"), (1, "W_S"), (2, "U"), (2, "W_A"), (2, "W_S"),
+        (3, "U"), (3, "V"), (3, "W_S"), (4, "U"), (4, "V"), (4, "W_A")])
+    def test_factor_with_an_extra_row_rejected(self, mode, name):
+        tensor = random_tensor(6, 5, 6, seed=4)
+        att = build_attention(3, f=0.5)
+        factors = {"U": np.ones((6, 2)), "V": np.ones((5, 2)), "W_A": np.ones((3, 2)),
+                   "W_S": np.ones((4, 2)), "scaling": build_scaling(tensor.item_counts(), 1)}
+        factors[name] = np.ones((len(factors[name]) + 1, 2))
+        with pytest.raises(ValueError, match="factor shapes do not match tensor dimensions"):
+            la_mode_operator(tensor, factors, att, None, mode)
+
+    @pytest.mark.parametrize("mode, name", [(1, "U"), (2, "V"), (3, "W_A"), (4, "W_S")])
+    def test_factor_the_mode_solves_is_not_read(self, mode, name):
+        # mode 3 solves W_L, so neither W_L nor W_A = A W_L enters its operator
+        tensor, factors, att, refs, _ = _la_operator_case(6, 5, 6, 3, (2, 3, 2, 2), 4)
+        factors = dict(factors, **{name: np.ones((1, 1))})
+        op = la_mode_operator(tensor, factors, att, None, mode)
+        assert np.abs(op.materialize() - refs[mode]).max() < 1e-12
+
 
 def _la_operator_case(m, n, k, window, ranks, seed):
     """A random LA operator setup: tensor, factors, attention and the dense oracle."""
@@ -749,9 +769,9 @@ class TestLocalTrainer:
         shared = train()
         assert len(calls) == 3
         # reference: each window/offset operator builds its own cores
-        factors = LocalAttentionTrainer._factors
-        monkeypatch.setattr(LocalAttentionTrainer, "_factors",
-                            lambda self, cores=None: factors(self))
+        operator = seqrec.models.la_mode_operator
+        monkeypatch.setattr(seqrec.models, "la_mode_operator", lambda tensor, factors, *rest:
+                            operator(tensor, dict(factors, cores=None, core_gram=None), *rest))
         separate = train()
         assert shared.fit_history == separate.fit_history
         for name in ("u", "v", "w_l", "w_s"):
@@ -829,6 +849,20 @@ class TestLocalTrainer:
         assert not calls and tr.v is v0
         tr = LocalAttentionTrainer(tensor, 3, att, (4, 3, 2, 2))
         assert calls == [(9, 12)] and not tr.solves
+
+    @pytest.mark.parametrize("kind, init, named", [
+        ("local", {"v": 0}, "'v'"), ("local", {"W": 0}, "'W'"),
+        ("global", {"W_S": 0}, "'W_S'"), ("global", {"W": 0, "W_L": 0}, "'W', 'W_L'")],
+        ids=["local-v", "local-W", "global-W_S", "global-W-and-W_L"])
+    def test_init_keys_it_does_not_read_rejected(self, kind, init, named):
+        # the keys are checked before any is read, so their values do not matter
+        tensor = random_tensor(12, 9, 6, seed=9, min_len=2)
+        with pytest.raises(ValueError, match=f"init takes .*{named}"):
+            if kind == "local":
+                LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2),
+                                      init=init)
+            else:
+                GlobalAttentionTrainer(tensor, build_attention(6, f=0.5), (4, 3, 2), init=init)
 
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_start_past_the_user_count(self, kind):
