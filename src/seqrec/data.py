@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import gzip
@@ -157,8 +158,11 @@ def _utf8_lines(text):
 
 
 def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
-    """Raw user ids, item ids and float timestamps of the data rows.
+    """The user map, the item map and the user codes, item codes and float
+    timestamps of the data rows, the last three as typed arrays.
 
+    Each row's user and item are coded as the row is read, each id by its rank
+    of first appearance, so the only id strings kept are the maps' keys.
     Each row is checked as it is read, so the first bad line raises its
     :class:`ParseError`: a short row, a timestamp :func:`_check_timestamp`
     rejects, a field the csv module rejects or a corrupt gzip stream. A row
@@ -170,7 +174,8 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
     def line(row):  # the reader's line less the quoted newlines of the row
         return rows.line_num - sum(value.count("\n") for value in row)
 
-    users, items, times = [], [], []
+    user_map, item_map = {}, {}
+    users, items, times = array.array("q"), array.array("q"), array.array("d")
     try:
         if header:
             names = next(rows, None)
@@ -188,6 +193,7 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
         # a one-field row may be a whitespace-only line even when one field is enough
         short = max(needed, 2)
         add_user, add_item, add_time = users.append, items.append, times.append
+        code_user, code_item = user_map.setdefault, item_map.setdefault
         for row in rows:
             if len(row) < short:
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -202,14 +208,14 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
             # exactly the values int(t) maps into [0, 2**63); NaN fails too
             if not -1.0 < t < 2.0 ** 63:
                 _check_timestamp(row[t_idx], line(row))
-            add_user(row[u_idx])
-            add_item(row[i_idx])
+            add_user(code_user(row[u_idx], len(user_map)))
+            add_item(code_item(row[i_idx], len(item_map)))
             add_time(t)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
     except csv.Error as exc:
         raise ParseError(f"line {rows.line_num}: {exc}") from None
-    return users, items, times
+    return user_map, item_map, users, items, times
 
 
 def _check_timestamp(text, lineno):
@@ -227,11 +233,6 @@ def _check_timestamp(text, lineno):
         raise ParseError(f"line {lineno}: timestamp {text!r} out of range")
 
 
-def _first_appearance(keys):
-    """Map each distinct key to its rank of first appearance."""
-    return dict(zip(dict.fromkeys(keys), range(len(keys))))
-
-
 def ingest_log(path, delimiter=",", user_col="user", item_col="item",
                time_col="timestamp", header=True):
     """Parse the delimited text file at ``path`` into an :class:`InteractionLog`.
@@ -245,7 +246,9 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
 
     Each row is checked as it is read, and the first bad line raises a
     :class:`ParseError` that names it; a byte that is not UTF-8 is named by
-    its line too. Indexing and deduplication then run on whole columns.
+    its line too. Users and items are coded as rows are read, so no row's id
+    strings are held; deduplication and item re-indexing then run on whole
+    code columns.
     """
     if not header:
         for col in (user_col, item_col, time_col):
@@ -254,25 +257,20 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
     columns = (delimiter, user_col, item_col, time_col, header)
     try:
         with _open_source(path) as text:
-            raw_users, raw_items, raw_times = _read_columns(text, *columns)
+            user_map, item_codes, users, items, times = _read_columns(text, *columns)
     except UnicodeDecodeError:
         # the decoder names no line: read again, escaping the bad bytes, and
         # raise at the first line that holds one unless a row before it is bad
         with _open_source(path, errors="surrogateescape") as text:
             _read_columns(_utf8_lines(text), *columns)
         raise
-    n = len(raw_users)
-    if not n:
+    if not users:
         raise ParseError("empty source")
-    times = np.trunc(np.array(raw_times, dtype=np.float64)).astype(np.int64)
-
-    # users indexed by first appearance in ingestion order
-    user_map = _first_appearance(raw_users)
-    uidx = np.fromiter(map(user_map.__getitem__, raw_users), np.int64, n)
-    # items coded by first appearance here, re-indexed after deduplication
-    item_codes = _first_appearance(raw_items)
-    icode = np.fromiter(map(item_codes.__getitem__, raw_items), np.int64, n)
-    del raw_users, raw_items, raw_times  # free the id strings before the sorts
+    # users are coded by first appearance in ingestion order; items are
+    # re-indexed after deduplication
+    uidx = np.frombuffer(users, dtype=np.int64)
+    icode = np.frombuffer(items, dtype=np.int64)
+    times = np.trunc(np.frombuffer(times, dtype=np.float64)).astype(np.int64)
 
     order = np.lexsort((times, uidx))  # stable: ties keep row order
     # keep the earliest occurrence of each (user, item) pair: np.unique

@@ -328,10 +328,10 @@ def _skew_blocks_fft(w_a, w_s):
 
 def skew_block_cache(w_a, w_s, use_fft=False):
     """All K = K_L + K_S - 1 correlation blocks, as one batched product over the
-    shift stack of ``w_a``; ``use_fft`` builds them by FFT instead."""
-    w_a = np.asarray(w_a, dtype=float)
-    w_s = np.asarray(w_s, dtype=float)
-    if w_a.ndim != 2 or w_s.ndim != 2:
+    shift stack of ``w_a``; ``use_fft`` builds them by FFT instead. The cache
+    keeps the factors given, so it matches them whatever their dtype."""
+    a, s = np.asarray(w_a, dtype=float), np.asarray(w_s, dtype=float)
+    if a.ndim != 2 or s.ndim != 2:
         raise ValueError("factor matrices must be 2-dimensional")
-    blocks = _skew_blocks_fft(w_a, w_s) if use_fft else _skew_blocks_direct(w_a, w_s)
+    blocks = _skew_blocks_fft(a, s) if use_fft else _skew_blocks_direct(a, s)
     return SkewBlockCache(blocks=blocks, w_a=w_a, w_s=w_s)

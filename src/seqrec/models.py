@@ -205,19 +205,21 @@ class SVDModel:
 def _user_item_operator(users, items, shape, d):
     """The scaled item x user matrix ``D X^T`` as an n x m operator, where X
     (m x n) counts the (user, item) pairs. ``dense`` builds it with NumPy; the
-    CSR pair, and SciPy, is built on the first apply, which only PROPACK makes.
+    CSR matrix ``X D``, and SciPy, is built on the first apply, which only
+    PROPACK makes. ``matvec`` applies its transpose view, which shares its
+    arrays and sums each output in the order the CSR of ``D X^T`` would.
     """
     m, n = shape
 
     @cache
-    def csr_pair():
+    def x_and_view():
         import scipy.sparse as sp
 
         x = sp.csr_matrix((np.ones(len(users)), (users, items)), shape=(m, n)) @ sp.diags(d)
-        return x.T.tocsr(), x
+        return x, x.T
 
-    op = ImplicitMatrix(shape=(n, m), matvec=lambda z: csr_pair()[0] @ z,
-                        rmatvec=lambda z: csr_pair()[1] @ z)
+    op = ImplicitMatrix(shape=(n, m), matvec=lambda z: x_and_view()[1] @ z,
+                        rmatvec=lambda z: x_and_view()[0] @ z)
     op.dense = lambda: np.bincount(items * m + users, minlength=n * m).reshape(n, m) * d[:, None]
     return op
 

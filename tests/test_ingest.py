@@ -3,7 +3,9 @@
 import csv
 import gzip
 import io
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,26 @@ def test_large_log_matches_reference():
     text = "user,item,timestamp\n" + "".join(
         f"u{u},i{i},{t}\n" for u, i, t in zip(users.tolist(), items.tolist(), times.tolist()))
     _assert_matches_reference(text.encode())
+
+
+def test_ingest_holds_no_per_row_id_strings(tmp_path):
+    # 40,000 rows over 400 users and 300 items, every id 48 characters long
+    rng = np.random.default_rng(0)
+    rows = 40_000
+    users = rng.integers(0, 400, rows).tolist()
+    items = rng.integers(0, 300, rows).tolist()
+    path = tmp_path / "events.csv"
+    path.write_text("user,item,timestamp\n" + "".join(
+        f"{u:u>48},{i:i>48},{t}\n" for t, (u, i) in enumerate(zip(users, items))))
+    row_strings = 2 * rows * sys.getsizeof("x" * 48)
+    tracemalloc.start()
+    try:
+        log = ingest_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (log.n_users, log.n_items) == (400, 300)
+    assert peak < row_strings
 
 
 def test_oversized_field_is_a_parse_error_naming_its_line(tmp_path):

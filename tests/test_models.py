@@ -240,6 +240,20 @@ class TestLocalModeOperators:
         with pytest.raises(ValueError, match="stale"):
             la_mode_operator(tensor, factors, att, cache, 1)
 
+    @pytest.mark.parametrize("use_fft", [False, True])
+    def test_cache_of_float32_factors_matches_them(self, use_fft):
+        tensor = random_tensor(4, 4, 3, seed=0)
+        att = build_attention(2, f=0.0)
+        w_a = att.apply(random_orthonormal(2, 1, seed=0)).astype(np.float32)
+        w_s = random_orthonormal(2, 1, seed=1)
+        factors = {"U": np.ones((4, 2)), "V": np.ones((4, 2)), "W_A": w_a, "W_S": w_s,
+                   "scaling": build_scaling(tensor.item_counts(), 1)}
+        for mode in (1, 2):
+            cached = la_mode_operator(tensor, factors, att,
+                                      skew_block_cache(w_a, w_s, use_fft=use_fft), mode)
+            built = la_mode_operator(tensor, factors, att, None, mode)
+            assert np.allclose(cached.materialize(), built.materialize(), atol=1e-12)
+
     def test_bad_mode(self):
         tensor = random_tensor(3, 3, 3, seed=0)
         with pytest.raises(ValueError, match="mode"):
