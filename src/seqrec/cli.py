@@ -339,9 +339,10 @@ def cmd_final(config):
     split = dp.load_split(split_path)
     kind, point, tuned_sweeps = _read_best(best_path)
 
-    merged = split.train.replace_events(*(
+    merged, test = split.train.replace_events(*(
         np.concatenate([getattr(split.train, name), getattr(split.validation, name)])
-        for name in ("users", "items", "timestamps")))
+        for name in ("users", "items", "timestamps"))), split.test
+    del split  # the merged log is the one copy of the train events kept
     model = _factory(kind, merged, config["seed"], config["K"])(point)
     sweeps = 0  # as run: finished models run none
     if hasattr(model, "sweep"):
@@ -350,7 +351,7 @@ def cmd_final(config):
             model.sweep()
         model = model.snapshot()
     save_model(model, out / "model.npz")
-    report = evaluate(model, merged, split.test, n=config["n"])
+    report = evaluate(model, merged, test, n=config["n"])
     record = {"split": "test", "kind": kind, "config": point,
               "sweep_count": sweeps, **report.as_dict()}
     with open(out / "report.jsonl", "a") as fh:

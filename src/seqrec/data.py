@@ -7,10 +7,12 @@ import contextlib
 import csv
 import gzip
 import io
+import itertools
 import json
 import numbers
 import zipfile
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +160,9 @@ def _utf8_lines(text):
 
 
 def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
-    """The user map, the item map and the user codes, item codes and float
-    timestamps of the data rows, the last three as typed arrays.
+    """The user map, the item map, the user codes, item codes and float
+    timestamps of the data rows as typed arrays, and by row the exact value
+    of each timestamp of ASCII digits that a float cannot hold (2**53 on).
 
     Each row's user and item are coded as the row is read, each id by its rank
     of first appearance, so the only id strings kept are the maps' keys.
@@ -174,8 +177,9 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
     def line(row):  # the reader's line less the quoted newlines of the row
         return rows.line_num - sum(value.count("\n") for value in row)
 
-    user_map, item_map = {}, {}
-    users, items, times = array.array("q"), array.array("q"), array.array("d")
+    user_map = defaultdict(itertools.count().__next__)
+    item_map = defaultdict(itertools.count().__next__)
+    users, items, times, exact = array.array("q"), array.array("q"), array.array("d"), {}
     try:
         if header:
             names = next(rows, None)
@@ -193,7 +197,6 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
         # a one-field row may be a whitespace-only line even when one field is enough
         short = max(needed, 2)
         add_user, add_item, add_time = users.append, items.append, times.append
-        code_user, code_item = user_map.setdefault, item_map.setdefault
         for row in rows:
             if len(row) < short:
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -201,21 +204,24 @@ def _read_columns(lines, delimiter, user_col, item_col, time_col, header):
                 if len(row) < needed:
                     raise ParseError(
                         f"line {line(row)}: expected at least {needed} columns, got {len(row)}")
+            text = row[t_idx]
             try:
-                t = float(row[t_idx])
+                t = float(text)
             except ValueError:
-                _check_timestamp(row[t_idx], line(row))
+                _check_timestamp(text, line(row))
             # exactly the values int(t) maps into [0, 2**63); NaN fails too
             if not -1.0 < t < 2.0 ** 63:
-                _check_timestamp(row[t_idx], line(row))
-            add_user(code_user(row[u_idx], len(user_map)))
-            add_item(code_item(row[i_idx], len(item_map)))
+                _check_timestamp(text, line(row))
+            if t >= 2.0 ** 53 and text.isdigit() and text.isascii():
+                exact[len(times)] = int(text)
+            add_user(user_map[row[u_idx]])
+            add_item(item_map[row[i_idx]])
             add_time(t)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise ParseError(f"corrupt or truncated gzip stream: {exc}") from None
     except csv.Error as exc:
         raise ParseError(f"line {rows.line_num}: {exc}") from None
-    return user_map, item_map, users, items, times
+    return dict(user_map), dict(item_map), users, items, times, exact
 
 
 def _check_timestamp(text, lineno):
@@ -257,7 +263,7 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
     columns = (delimiter, user_col, item_col, time_col, header)
     try:
         with _open_source(path) as text:
-            user_map, item_codes, users, items, times = _read_columns(text, *columns)
+            user_map, item_codes, users, items, times, exact = _read_columns(text, *columns)
     except UnicodeDecodeError:
         # the decoder names no line: read again, escaping the bad bytes, and
         # raise at the first line that holds one unless a row before it is bad
@@ -271,6 +277,7 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
     uidx = np.frombuffer(users, dtype=np.int64)
     icode = np.frombuffer(items, dtype=np.int64)
     times = np.trunc(np.frombuffer(times, dtype=np.float64)).astype(np.int64)
+    times[list(exact)] = list(exact.values())
 
     order = np.lexsort((times, uidx))  # stable: ties keep row order
     # keep the earliest occurrence of each (user, item) pair: np.unique

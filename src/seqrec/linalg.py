@@ -5,6 +5,8 @@ product is built from."""
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -29,12 +31,6 @@ MIN_LANCZOS_BASIS = 300
 # RETRY_BASIS_FACTOR * r.
 LANCZOS_BASIS_FACTOR = 5
 RETRY_BASIS_FACTOR = 10
-# At or below this many entries PROPACK's two bases, (rows + cols) * (min + 1)
-# doubles, outgrow the matrix itself, and materializing it takes at most
-# MIN_LANCZOS_BASIS applies: a Gram eigensolve is cheaper and loads no SciPy.
-DENSE_SVD_SIZE = MIN_LANCZOS_BASIS ** 2
-# Largest operator (rows * cols) a failed PROPACK run may materialize: 32 MB.
-DENSE_FALLBACK_SIZE = 1 << 22
 # svds hands PROPACK tol**2: the search for a missed triplet stops at 1e-4,
 # where its top Ritz value (a lower bound) already shows a miss of 1e-4 or more.
 MISS_SEARCH_TOL = 1e-2
@@ -54,8 +50,9 @@ class ImplicitMatrix:
     """A linear operator given by matvec/rmatvec closures over dense vectors.
 
     ``dense`` and ``gram`` are optional, set after construction. ``gram`` is
-    for operators that form their Gram without their dense matrix (the HOOI
-    modes 3/4); ``truncated_svd`` solves those by its eigensolve at any size.
+    for operators that form their Gram without holding their dense matrix
+    (the HOOI modes 3/4 and wide modes 1/2); ``truncated_svd``'s eigensolve
+    solves it.
     """
 
     shape: tuple
@@ -109,6 +106,56 @@ def svds(*args, **kwargs):
     return svds(*args, **kwargs)
 
 
+def _lanczos_basis(shape, r, factor):
+    """kmax: the Lanczos basis of a PROPACK run for r triplets on a
+    ``factor * r`` basis of at least MIN_LANCZOS_BASIS vectors, clipped as
+    scipy clips it to min(rows, cols) + 1."""
+    return min(max(factor * r, MIN_LANCZOS_BASIS), min(shape) + 1)
+
+
+def _gram_fits(y, r, factor):
+    """The path rule: whether what the Gram path holds, the operator's own
+    Gram (min(rows, cols) ** 2 numbers) where it carries one and else its
+    materialized matrix (rows * cols), is no larger than the two Lanczos
+    bases, (rows + cols) * kmax numbers, of a PROPACK run on a ``factor``
+    basis."""
+    rows, cols = y.shape
+    held = min(rows, cols) ** 2 if y.gram is not None else rows * cols
+    return held <= (rows + cols) * _lanczos_basis(y.shape, r, factor)
+
+
+def _printed_into(record, call):
+    """``call()``, with what it prints past Python's streams appended to
+    ``record["printed"]``: LAPACK's error handler under PROPACK writes
+    through C's stdio, buffered, so file descriptors 1 and 2 point at one
+    temporary file until C's buffers are flushed into it."""
+    import ctypes
+    import tempfile
+
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    saved = []
+    try:
+        for fd in (1, 2):
+            saved.append(os.dup(fd))
+    except OSError:  # a closed descriptor: run uncaptured
+        for old in saved:
+            os.close(old)
+        return call()
+    with tempfile.TemporaryFile() as sink:
+        for fd in (1, 2):
+            os.dup2(sink.fileno(), fd)
+        try:
+            return call()
+        finally:
+            ctypes.CDLL(None).fflush(None)
+            for fd, old in zip((1, 2), saved):
+                os.dup2(old, fd)
+                os.close(old)
+            sink.seek(0)
+            record["printed"] += sink.read().decode(errors="replace").splitlines()
+
+
 def _propack(op, k, rng, record, search=False):
     """PROPACK's top-k left singular pairs on a LANCZOS_BASIS_FACTOR * k basis,
     or with ``search`` only its singular values, at MISS_SEARCH_TOL on a
@@ -117,21 +164,24 @@ def _propack(op, k, rng, record, search=False):
     MIN_LANCZOS_BASIS) basis, so the retry repeats that run exactly; it
     counts in ``record["retries"]``."""
     if search:
-        tol, vectors, first, retry = MISS_SEARCH_TOL, False, MISS_SEARCH_BASIS, MIN_LANCZOS_BASIS
+        # k is 1: the retry basis is MIN_LANCZOS_BASIS
+        tol, vectors, first = MISS_SEARCH_TOL, False, MISS_SEARCH_BASIS
+        retry = _lanczos_basis(op.shape, k, LANCZOS_BASIS_FACTOR)
     else:
         tol, vectors = SVD_TOL, "u"
-        first, retry = (max(f * k, MIN_LANCZOS_BASIS)
+        first, retry = (_lanczos_basis(op.shape, k, f)
                         for f in (LANCZOS_BASIS_FACTOR, RETRY_BASIS_FACTOR))
 
     def run(basis):
-        return svds(op.to_linear_operator(), k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
-                    maxiter=basis, solver="propack", return_singular_vectors=vectors, rng=rng)
+        return _printed_into(record, lambda: svds(
+            op.to_linear_operator(), k=k, v0=rng.standard_normal(op.shape[0]), tol=tol,
+            maxiter=basis, solver="propack", return_singular_vectors=vectors, rng=rng))
 
     state = rng.bit_generator.state
     try:
         out = run(first)
     except np.linalg.LinAlgError:
-        if min(retry, min(op.shape) + 1) <= first:  # scipy clips both to min + 1
+        if retry <= first:
             raise
         rng.bit_generator.state = state
         record["retries"] += 1
@@ -188,14 +238,17 @@ def _checked_propack(op, r, rng, record):
 def _gram_pairs(g, r, a=None):
     """Leading r left singular pairs from the eigensolve of a Gram matrix,
     and sqrt(lambda_{r+1}) (None past the last eigenvalue): directly for
-    g = A A^T (``a`` None), and through U = qr(A Q_r) for g = A^T A, whose
-    top eigenvectors Q_r are the right singular vectors."""
+    g = A A^T (``a`` None), with s = sqrt(lambda), and through
+    A Q_r = U R for g = A^T A, whose top eigenvectors Q_r are the right
+    singular vectors, with s = |diag R|, the norms of A q_i taken unsquared."""
     lam, q = np.linalg.eigh(g)
-    lam, q = lam[::-1], q[:, ::-1][:, :r]
-    if a is not None:
-        q, _ = np.linalg.qr(a @ q)
+    # a copy, so that U does not keep all rows ** 2 eigenvectors alive
+    lam, q = lam[::-1], q[:, ::-1][:, :r].copy()
     after = math.sqrt(max(lam[r], 0.0)) if r < len(lam) else None
-    return q, np.sqrt(np.maximum(lam[:r], 0.0)), after
+    if a is None:
+        return q, np.sqrt(np.maximum(lam[:r], 0.0)), after
+    u, tri = np.linalg.qr(a @ q)
+    return u, np.abs(np.diagonal(tri)), after
 
 
 def _counted(y, record):
@@ -216,23 +269,28 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values. Unless ``exact``, an operator that carries a ``gram``, or
-    has at most DENSE_SVD_SIZE entries (its short side's Gram then), is solved
-    by a symmetric eigensolve of a Gram matrix, with s = sqrt(max(lambda, 0)):
-    squaring halves the digits, so singular values below about sqrt(eps) * s[0]
-    are noise, and past the operator's rank U holds some orthonormal
-    completion. Otherwise the solve, narrow operators' too, is PROPACK's,
-    seeded by ``seed``. ``exact``, and PROPACK failures at r >= min - 1 (a
-    breakdown at the operator's rank) or on at most DENSE_FALLBACK_SIZE
-    entries, use a dense SVD. Any LinAlgError the path raises surfaces as
-    ConvergenceError("truncated SVD failed to converge: ..."), the CLI's exit 1.
+    singular values. Unless ``exact``, one rule picks the solve: a Gram
+    eigensolve exactly when what it holds, the operator's ``gram`` or else
+    its materialized matrix, is no larger than the Lanczos bases of
+    PROPACK's first run (``_gram_fits``), else PROPACK, seeded by ``seed``.
+    The eigensolve solves the operator's ``gram`` if it carries one, else
+    A A^T or A^T A of its materialized matrix. From a rows x rows Gram it
+    gives s = sqrt(max(lambda, 0)): squaring halves the digits, so singular
+    values below about sqrt(eps) * s[0] are noise, and past the operator's
+    rank U holds some orthonormal completion; from A^T A it reads s from the
+    R of A Q_r = U R. A PROPACK run that fails, or fails its check, falls
+    back to the eigensolve where that fits the retry run's bases, and raises
+    past them. Only ``exact`` takes a dense SVD. Any
+    LinAlgError the path raises surfaces as ConvergenceError("truncated SVD
+    failed to converge: ..."), the CLI's exit 1.
 
     The solve fills ``record``, or a private dict when none is passed, with
     how it ran, and the record changes nothing of it: ``shape``; ``path``
-    ("operator-gram", "matrix-gram", "propack", "dense-fallback" or "exact");
+    ("operator-gram", "matrix-gram", "propack", "gram-fallback" or "exact");
     ``applies`` of the operator, split into "solve", "check" and "miss" (the
     search for missed triplets and the fetch of each); PROPACK basis
-    ``retries``; ``misses`` found; ``seconds``; ``sigma1``; ``fit``, the sum
+    ``retries``; ``misses`` found; ``printed``, the lines printed under
+    PROPACK past Python's streams; ``seconds``; ``sigma1``; ``fit``, the sum
     of s ** 2; and ``gap``, s[r-1] / s[r], or None where the path has no
     s[r], which means nothing once s[r-1] is below the sqrt(eps) * s[0] noise
     floor. The Gram paths read s[r] from the next eigenvalue and the dense SVD
@@ -245,8 +303,8 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
         raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
     start = time.perf_counter()
     record = {} if record is None else record
-    record.update(shape=(rows, cols), path=None, retries=0, misses=0, phase="solve",
-                  applies={"solve": 0, "check": 0, "miss": 0})
+    record.update(shape=(rows, cols), path=None, retries=0, misses=0, printed=[],
+                  phase="solve", applies={"solve": 0, "check": 0, "miss": 0})
     try:
         u, s, after = _solve(_counted(y, record), r, seed, exact, record)
     except np.linalg.LinAlgError as exc:
@@ -261,24 +319,24 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
 
 def _solve(y, r, seed, exact, record):
     """``truncated_svd``'s (U, s) and next singular value, from the path it picks."""
-    rows, cols = y.shape
-    if not exact:
-        if y.gram is not None:
-            record["path"] = "operator-gram"
-            return _gram_pairs(y.gram(), r)
-        if rows * cols <= DENSE_SVD_SIZE:
-            record["path"] = "matrix-gram"
-            a = y.materialize()
-            return _gram_pairs(a @ a.T, r) if rows <= cols else _gram_pairs(a.T @ a, r, a)
+    if exact:
+        record["path"] = "exact"
+        u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
+        return u[:, :r], s[:r], s[r] if r < len(s) else None
+    if not _gram_fits(y, r, LANCZOS_BASIS_FACTOR):
         record["path"] = "propack"
         try:
             return _checked_propack(y, r, np.random.default_rng(seed), record)
         except np.linalg.LinAlgError:
-            if r < min(rows, cols) - 1 and rows * cols > DENSE_FALLBACK_SIZE:
+            if not _gram_fits(y, r, RETRY_BASIS_FACTOR):
                 raise
-    record["path"], record["phase"] = ("exact" if exact else "dense-fallback"), "solve"
-    u, s, _ = np.linalg.svd(y.materialize(), full_matrices=False)
-    return u[:, :r], s[:r], s[r] if r < len(s) else None
+    record["path"] = ("gram-fallback" if record["path"] == "propack"
+                      else "operator-gram" if y.gram is not None else "matrix-gram")
+    record["phase"] = "solve"
+    if y.gram is not None:
+        return _gram_pairs(y.gram(), r)
+    a = y.materialize()
+    return _gram_pairs(a @ a.T, r) if y.shape[0] <= y.shape[1] else _gram_pairs(a.T @ a, r, a)
 
 
 def _shift_stack(w, k):

@@ -220,7 +220,14 @@ def _user_item_operator(users, items, shape, d):
 
     op = ImplicitMatrix(shape=(n, m), matvec=lambda z: x_and_view()[1] @ z,
                         rmatvec=lambda z: x_and_view()[0] @ z)
-    op.dense = lambda: np.bincount(items * m + users, minlength=n * m).reshape(n, m) * d[:, None]
+
+    def dense():  # one n x m array, with no n x m count array beside it
+        cells, counts = np.unique(items * m + users, return_counts=True)
+        out = np.zeros(n * m)
+        out[cells] = counts * d[cells // m]
+        return out.reshape(n, m)
+
+    op.dense = dense
     return op
 
 
@@ -283,12 +290,15 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
     ``attention.size`` and K - ``attention.size`` + 1. Modes 1/2 build the
     skew blocks of W_A and W_S unless given a ``cache`` of those two arrays.
 
-    Modes 1/2 build their dense matrix directly (``dense``) from
-    per-(row, position) sums of the entries, contracted with the skew blocks
-    of r4*r3 positions per product. Modes 3/4 carry the Gram
-    ``truncated_svd`` solves by eigensolve (``gram``): at any size the window
-    x window (offset x offset) ``sum_a S_a^T (C C^T) S_a`` over that stack;
-    only ``exact_svd`` materializes them, from one apply per row or column.
+    Modes 1/2 have one builder of their unfolding Y, over chunks of c of
+    ``other``'s columns: per-(row, position) sums of the entries, contracted
+    with the skew blocks of r4*r3 positions per product. Each chunk and its
+    nnz x c per-entry products stay within a quarter of what is built:
+    ``dense`` writes the chunks into one array, and a wide mode also carries
+    ``gram``, Y Y^T summed chunk by chunk. Modes 3/4 carry the window
+    x window (offset x offset) ``gram`` ``sum_a S_a^T (C C^T) S_a`` over that
+    stack; only ``exact_svd`` materializes them, from one apply per row or
+    column. ``truncated_svd`` decides whether a Gram is solved at all.
     """
     if mode not in (1, 2, 3, 4):
         raise ValueError(f"mode must be 1..4, got {mode}")
@@ -323,28 +333,55 @@ def la_mode_operator(tensor, factors, attention, cache, mode):
                             minlength=other_dim * k).reshape(other_dim, k)
             return (flat_blocks.T @ (h.T @ other)).ravel()
 
-        def dense():
-            # Row i is sum_q flat_blocks[q] (x) S_q[i], where S_q[i] sums
-            # d * other[across] over row i's entries at position q. The sums
-            # are taken per (position, row) pair; a run of r4*r3 positions,
-            # whose S is no larger than the output, is one product.
-            order = np.lexsort((along, kk))
-            key = kk[order] * out_dim + along[order]
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            sums = np.add.reduceat(other[across[order]] * dvals[order, None], starts, axis=0)
-            key = key[starts]
-            step = r4 * r3
-            out = np.zeros((step, out_dim * r_other))
-            for lo in range(0, k, step):
-                hi = min(lo + step, k)
-                first, last = np.searchsorted(key, (lo * out_dim, hi * out_dim))
-                s_run = np.zeros(((hi - lo) * out_dim, r_other))
-                s_run[key[first:last] - lo * out_dim] = sums[first:last]
-                out += flat_blocks[lo:hi].T @ s_run.reshape(hi - lo, -1)
-            return out.reshape(step, out_dim, r_other).transpose(1, 0, 2).reshape(out_dim, -1)
+        step = r4 * r3
 
-        op = ImplicitMatrix(shape=(out_dim, r4 * r3 * r_other), matvec=matvec, rmatvec=rmatvec)
+        def chunks(budget):
+            # Y over successive chunks of other's columns, each as wide as
+            # keeps the chunk and its nnz x width per-entry products within
+            # ``budget`` numbers. Row i is sum_q flat_blocks[q] (x)
+            # S_q[i], where S_q[i] sums d * other[across] over row i's entries
+            # at position q. The sums are taken per (position, row) pair; a
+            # run of r4*r3 positions, whose S is no larger than the output, is
+            # one product.
+            width = max(1, budget // max(len(kk), out_dim * step))
+            key = kk * out_dim + along
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, other_rows, weights = key[starts], across[order], dvals[order, None]
+            del order
+            for lo in range(0, r_other, width):
+                hi = min(lo + width, r_other)
+                sums = products = None  # the last chunk's go before these are made
+                products = other[other_rows, lo:hi]
+                products *= weights
+                sums = np.add.reduceat(products, starts, axis=0)
+                out = np.zeros((step, out_dim * (hi - lo)))
+                for q in range(0, k, step):
+                    q_hi = min(q + step, k)
+                    first, last = np.searchsorted(key, (q * out_dim, q_hi * out_dim))
+                    s_run = np.zeros(((q_hi - q) * out_dim, hi - lo))
+                    s_run[key[first:last] - q * out_dim] = sums[first:last]
+                    out += flat_blocks[q:q_hi].T @ s_run.reshape(q_hi - q, -1)
+                yield lo, out.reshape(step, out_dim, hi - lo).transpose(1, 0, 2)
+
+        def dense():  # Y, chunk by chunk into one array, each chunk a quarter of it
+            y = np.empty((out_dim, step, r_other))
+            for lo, chunk in chunks(y.size // 4):
+                y[:, :, lo:lo + chunk.shape[2]] = chunk
+            return y.reshape(out_dim, -1)
+
+        def gram():  # Y Y^T over chunks of at most a quarter of it
+            g = np.zeros((out_dim, out_dim))
+            for _, chunk in chunks(out_dim * out_dim // 4):
+                y = chunk.reshape(out_dim, -1)
+                g += y @ y.T
+            return g
+
+        op = ImplicitMatrix(shape=(out_dim, step * r_other), matvec=matvec, rmatvec=rmatvec)
         op.dense = dense
+        if out_dim < op.shape[1]:
+            op.gram = gram
         return op
     cores, core_gram = factors.get("cores"), factors.get("core_gram")
     if cores is None:

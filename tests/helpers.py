@@ -2,7 +2,29 @@
 
 import numpy as np
 
+import seqrec.linalg
 from seqrec.data import InteractionLog
+from seqrec.linalg import ImplicitMatrix
+
+_GRAM_FITS = seqrec.linalg._gram_fits
+
+
+def propack_first(monkeypatch, fallback=True):
+    """Send every operator's solve to PROPACK, as the path rule sends one
+    whose Gram outgrows the first run's Lanczos bases. A failed run falls
+    back to the Gram path as the rule says for the retry run's bases, or,
+    without ``fallback``, never."""
+    monkeypatch.setattr(seqrec.linalg, "_gram_fits", lambda y, r, factor: (
+        fallback and factor != seqrec.linalg.LANCZOS_BASIS_FACTOR
+        and _GRAM_FITS(y, r, factor)))
+
+
+def shaped(shape, carried=False):
+    """An operator of ``shape`` for the path rule, carrying a Gram if ``carried``."""
+    op = ImplicitMatrix(tuple(shape), matvec=None, rmatvec=None)
+    if carried:
+        op.gram = lambda: None
+    return op
 
 
 def make_log(rows, n_users=None, n_items=None):

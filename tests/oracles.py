@@ -148,6 +148,8 @@ def _checked_rows_reference(rows, user_col, item_col, time_col, header):
             raise ParseError(f"line {lineno}: negative timestamp {ts}")
         if ts > MAX_TIMESTAMP:
             raise ParseError(f"line {lineno}: timestamp {row[t_idx]!r} out of range")
+        if row[t_idx].isascii() and row[t_idx].isdigit():
+            ts = int(row[t_idx])  # exactly, where the float rounds
         raw_users.append(row[u_idx])
         raw_items.append(row[i_idx])
         raw_times.append(ts)

@@ -53,8 +53,9 @@ def test_tracer_sees_every_mode_of_a_sweep():
 
 
 # Tiny models of each kind on one log, each with its grid's point count. At
-# 400 users x 300 items the svd kind's 300 x 400 operator is past
-# DENSE_SVD_SIZE, so its solves run PROPACK.
+# 800 users x 700 items the svd kind's 700 x 800 operator has a Gram of 490,000
+# numbers, past the (700 + 800) * 300 of PROPACK's bases at r = 20, so its
+# solves run PROPACK.
 PIPELINES = {
     "svd": ({"kind": "svd", "grid": {"rank": [20], "s": [0.0, 0.4], "regime": ["plain"]}}, 2),
     "local": ({"kind": "local", "window_values": [4],
@@ -67,9 +68,9 @@ PIPELINES = {
 
 
 def _write_log(path):
-    """A 400-user x 300-item log at 5 % density, timestamps a seeded permutation."""
+    """An 800-user x 700-item log at 2 % density, timestamps a seeded permutation."""
     rng = np.random.default_rng(0)
-    users, items = np.nonzero(rng.random((400, 300)) < 0.05)
+    users, items = np.nonzero(rng.random((800, 700)) < 0.02)
     path.write_text("user,item,timestamp\n" + "".join(
         f"u{u},i{i},{t}\n" for u, i, t in zip(users, items, rng.permutation(len(users)))))
 

@@ -19,7 +19,7 @@ import seqrec.data
 import seqrec.evaluation
 import seqrec.linalg
 import seqrec.models
-from helpers import MARKOV_CYCLE, MARKOV_PHASES, make_log
+from helpers import MARKOV_CYCLE, MARKOV_PHASES, make_log, propack_first
 from seqrec.cli import PRESETS, load_config, main
 from seqrec.data import build_positional_tensor, ingest_log, load_split
 from seqrec.evaluation import evaluate
@@ -548,25 +548,25 @@ class TestTune:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-    def test_dense_svd_failure_exit_1(self, tmp_path, monkeypatch, capsys):
-        # the dense SVD runs as the fallback after a PROPACK failure, which the
-        # toy operators reach once no size counts as small
+    def test_gram_fallback_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        # the Gram eigensolve runs as the fallback after a PROPACK failure,
+        # which the toy operators reach once every first run goes to PROPACK
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
 
         def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         def propack_failing(*args, **kwargs):
             raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
 
         monkeypatch.setattr(seqrec.linalg, "svds", propack_failing)
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        propack_first(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         capsys.readouterr()
         assert main(["--config", str(cfg), "tune"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: truncated SVD failed to converge: SVD did not converge\n"
+        assert err == "error: truncated SVD failed to converge: Eigenvalues did not converge\n"
 
 
     def test_gram_eigensolve_failure_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -587,8 +587,8 @@ class TestTune:
         assert err == "error: truncated SVD failed to converge: Eigenvalues did not converge\n"
 
     def test_propack_failure_on_large_operator_exit_1(self, tmp_path, monkeypatch, capsys):
-        # no dense fallback past DENSE_FALLBACK_SIZE: the toy operators stand in
-        # for large ones
+        # no Gram fallback past the retry run's bases: the toy operators stand
+        # in for large ones
         cfg, _ = _toy_config(tmp_path, model=SVD_GRID)
         assert main(["--config", str(cfg), "prepare"]) == 0
 
@@ -596,8 +596,7 @@ class TestTune:
             raise np.linalg.LinAlgError("k=1 singular triplets did not converge")
 
         monkeypatch.setattr(seqrec.linalg, "svds", failing)
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
-        monkeypatch.setattr(seqrec.linalg, "DENSE_FALLBACK_SIZE", 0)
+        propack_first(monkeypatch, fallback=False)
         capsys.readouterr()
         assert main(["--config", str(cfg), "tune"]) == 1
         err = capsys.readouterr().err

@@ -22,9 +22,11 @@ COLUMNS = ("user", "item", "timestamp")
 IDS = ["u1", "u2", "a,b", "x\ty", 'q"t', " sp", "7", "a\nb", "a\r\nb", "a\n\nb"]
 # a Latin-1 "café": written as the one byte 0xe9, which is not UTF-8
 NOT_UTF8_ID = "caf\udce9"
-# -0.9999999 truncates to 0; 9223372036854774784 is the largest float below 2**63
+# -0.9999999 truncates to 0; 9223372036854774784 is the largest float below
+# 2**63; the digits of 2**53 + 1 and 1700000000123456789 are read exactly
 GOOD_TIMES = ["0", "1", "2", "2", "3", "5.7", "1e3", " 4 ", "-0.5", "1_0", "9.2e18",
-              "-0.9999999", "9223372036854774784"]
+              "-0.9999999", "9223372036854774784", "9007199254740993",
+              "1700000000123456789"]
 # 9223372036854775807 parses to the float 2**63
 BAD_TIMES = ["-3", "nan", "inf", "-inf", "1e30", "xyz", "", "9223372036854775808",
              "-1.0", "9223372036854775807", "0x10"]
@@ -150,6 +152,15 @@ class TestMatchesReference:
         (_, _, times), *_ = _assert_matches_reference(
             b"user,item,timestamp\nu,a,5.7\nu,b,-0.5\nu,c,1e3\n")
         assert sorted(times) == [0, 5, 1000]
+
+    def test_integer_timestamps_are_exact(self):
+        # 2**53 + 1 is no float: read as one it rounds to 2**53, the two
+        # events tie, and row order puts the later one, a, first
+        (_, _, times), _, item_map, *_ = _assert_matches_reference(
+            b"user,item,timestamp\nu,a,9007199254740993\nu,b,9007199254740992\n"
+            b"v,c,1700000000123456789\n")
+        assert item_map == [("b", 0), ("a", 1), ("c", 2)]
+        assert times == [9007199254740992, 9007199254740993, 1700000000123456789]
 
     def test_quoted_delimiter_and_extra_columns(self):
         payload = b'item\tnote\tuser\ttimestamp\n"a\tb"\tx\t"u,1"\t4\n'

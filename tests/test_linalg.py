@@ -1,17 +1,19 @@
 """Numerical kernels: implicit SVD, orthonormal init, skew blocks."""
 
+import ctypes
+import errno
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_log
+from helpers import make_log, propack_first, shaped
 from oracles import random_tensor
 import seqrec.linalg
 from seqrec.attention import build_attention
 from seqrec.linalg import (
-    DENSE_FALLBACK_SIZE,
-    DENSE_SVD_SIZE,
     LANCZOS_BASIS_FACTOR,
     MIN_LANCZOS_BASIS,
     MISS_SEARCH_BASIS,
@@ -27,6 +29,7 @@ from seqrec.linalg import (
 from seqrec.models import build_scaling, la_mode_operator, train_puresvd
 
 _SVDS = seqrec.linalg.svds
+_LIBC = ctypes.CDLL(None)
 
 
 def _implicit_from_dense(a):
@@ -35,14 +38,14 @@ def _implicit_from_dense(a):
 
 
 def _iterative_only(a):
-    """Implicit view of ``a`` that fails if the dense fallback materializes it.
+    """Implicit view of ``a`` that fails if a Gram path materializes it.
 
     It refuses through its ``dense`` builder, which the solve's counted copy
     of the operator keeps; a replaced ``materialize`` would be dropped."""
     y = _implicit_from_dense(a)
 
     def refuse():
-        raise AssertionError("dense fallback taken")
+        raise AssertionError("Gram path taken")
 
     y.dense = refuse
     return y
@@ -98,8 +101,7 @@ class TestTruncatedSvd:
         assert _principal_angle(u, u_ref[:, :3]) < 1e-8
 
     def test_iterative_path_matches_oracle(self, monkeypatch):
-        # big enough to bypass the dense fallback once size alone does not decide
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         rng = np.random.default_rng(1)
         a = rng.standard_normal((64, 50))
         u, s = truncated_svd(_implicit_from_dense(a), 3, seed=7)
@@ -115,7 +117,7 @@ class TestTruncatedSvd:
         assert np.abs(u @ (u.T @ a) - a).max() < 1e-8
 
     def test_always_orthonormal(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((40, 35))
         u, _ = truncated_svd(_implicit_from_dense(a), 4, seed=0)
@@ -127,7 +129,7 @@ class TestTruncatedSvd:
             truncated_svd(y, 5)
 
     def test_exact_flag_matches_iterative(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((60, 45))
         y = _implicit_from_dense(a)
@@ -136,22 +138,86 @@ class TestTruncatedSvd:
         assert np.allclose(s1, s2, atol=1e-8)
         assert _principal_angle(u1, u2) < 1e-8
 
-    @pytest.mark.parametrize("limit, solver_calls", [(DENSE_SVD_SIZE, False),
-                                                     (DENSE_SVD_SIZE - 1, True)],
+    @pytest.mark.parametrize("size, solver_calls", [(600, False), (601, True)],
                              ids=["at-size", "one-past-size"])
-    def test_dense_size_boundary(self, monkeypatch, limit, solver_calls):
-        # 300 x 300 has exactly DENSE_SVD_SIZE entries: dense at the limit,
-        # PROPACK once it holds one entry more than the limit
-        a = np.random.default_rng(5).standard_normal((300, 300))
-        assert a.size == DENSE_SVD_SIZE
+    def test_dense_size_boundary(self, monkeypatch, size, solver_calls):
+        # at r = 3 PROPACK's first run gets 300-vector bases: an n x n
+        # operator's Gram, n ** 2 numbers, is no larger than the bases'
+        # 2 n * 300 up to n = 600, and PROPACK runs from n = 601
+        a = np.random.default_rng(5).standard_normal((size, size))
+        assert (size ** 2 <= 2 * size * MIN_LANCZOS_BASIS) != solver_calls
         calls = []
         svds = seqrec.linalg.svds
         monkeypatch.setattr(seqrec.linalg, "svds", lambda *args, **kwargs:
                             calls.append(kwargs["k"]) or svds(*args, **kwargs))
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", limit)
         u, s = truncated_svd(_implicit_from_dense(a), 3, seed=0)
         assert bool(calls) == solver_calls
         _assert_matches_oracle(a, u, s)
+
+
+class TestPathRule:
+    """The Gram eigensolve exactly where what it holds, the operator's own
+    Gram if it carries one and else its materialized matrix, is no larger
+    than the Lanczos bases of PROPACK's first run; a failed run falls back to
+    it within the retry run's bases."""
+
+    @pytest.mark.parametrize("shape, r, carried, gram", [
+        ((197, 256), 20, False, True), ((256, 180), 20, False, True),
+        ((197, 180), 20, False, True), ((2997, 5988), 100, False, False),
+        ((200, 995), 32, False, True), ((995, 100), 20, False, True),
+        ((200, 593), 50, False, True),
+        ((5997, 10000), 100, True, False), ((3700, 10000), 100, True, False),
+        ((5997, 50000), 500, True, True), ((3700, 50000), 500, True, True),
+        ((5997, 32), 16, False, True), ((3700, 32), 16, False, True),
+        ((3700, 6000), 500, False, True), ((3700, 6000), 200, False, False),
+        ((3700, 100000), 100, False, False), ((3700, 100000), 100, True, True),
+    ], ids=["la-k40-start", "la-k40-item-mode", "la-k40-user-mode", "svd-230k",
+            "ga-k32-start", "ga-k32-user-mode", "ga-k50-start",
+            "ml-1m-user-mode-r100", "ml-1m-item-mode-r100", "ml-1m-user-mode-r500",
+            "ml-1m-item-mode-r500", "ml-1m-narrow-user-mode", "ml-1m-narrow-item-mode",
+            "ml-1m-puresvd-r500", "ml-1m-puresvd-r200",
+            "puresvd-many-users", "carried-gram-many-columns"])
+    def test_rule(self, shape, r, carried, gram):
+        # the last two differ only in what the Gram path would hold: a
+        # 3700 x 100,000 matrix outgrows the bases, its 3700 ** 2 Gram does not
+        for rows, cols in (shape, shape[::-1]):
+            y = shaped((rows, cols), carried)
+            assert seqrec.linalg._gram_fits(y, r, LANCZOS_BASIS_FACTOR) == gram
+
+    @staticmethod
+    def _failing_check(monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("inaccurate triplets (drift 1.0e+00, residual 1.0e+00)")
+
+        monkeypatch.setattr(seqrec.linalg, "_checked_propack", failing)
+
+    def test_failed_run_takes_the_gram_fallback(self, monkeypatch):
+        # 700 x 700 at r = 40: the Gram, 490,000 numbers, outgrows the first
+        # run's 1400 * 300 and fits the retry run's 1400 * 400
+        a = np.random.default_rng(31).standard_normal((700, 700))
+        assert not seqrec.linalg._gram_fits(shaped(a.shape), 40, LANCZOS_BASIS_FACTOR)
+        assert seqrec.linalg._gram_fits(shaped(a.shape), 40, RETRY_BASIS_FACTOR)
+        self._failing_check(monkeypatch)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs:
+                            calls.append(1) or svd(*args, **kwargs))
+        record = {}
+        u, s = truncated_svd(_implicit_from_dense(a), 40, seed=0, record=record)
+        assert record["path"] == "gram-fallback" and not calls
+        assert record["applies"]["solve"] == 700
+        _assert_matches_oracle(a, u, s)
+
+    def test_failed_run_past_the_retry_bases_raises(self, monkeypatch):
+        # 1000 x 1000 at r = 40: the Gram outgrows the retry run's 2000 * 400
+        assert not seqrec.linalg._gram_fits(shaped((1000, 1000)), 40, RETRY_BASIS_FACTOR)
+        self._failing_check(monkeypatch)
+        y = ImplicitMatrix((1000, 1000), matvec=lambda x: np.zeros(1000),
+                           rmatvec=lambda x: np.zeros(1000))
+        y.dense = lambda: pytest.fail("Gram fallback taken")
+        record = {}
+        with pytest.raises(ConvergenceError, match="inaccurate triplets"):
+            truncated_svd(y, 40, seed=0, record=record)
+        assert record["path"] == "propack"
 
 
 def _stress_matrix(seed, trial):
@@ -180,12 +246,12 @@ def _assert_matches_oracle(a, u, s):
 
 
 class TestPropackSolver:
-    """The iterative path, with DENSE_SVD_SIZE at 0 so that small operators
-    reach it."""
+    """The iterative path, which small operators reach with every first run
+    sent to PROPACK."""
 
     @pytest.fixture(autouse=True)
-    def no_dense_size(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+    def no_first_gram(self, monkeypatch):
+        propack_first(monkeypatch)
 
     @pytest.mark.parametrize("shape", [(70, 45), (45, 70)], ids=["tall", "wide"])
     def test_same_seed_is_bitwise_identical(self, shape):
@@ -215,7 +281,7 @@ class TestPropackSolver:
         # copies at r = 17, and the deflated solve finds the fourth
         (1, 136, 17, _iterative_only),
         # 292 x 53: at r = 26 PROPACK returns vectors that mix singular
-        # directions across the cut (subspace off by 0.04); the dense SVD answers
+        # directions across the cut (subspace off by 0.04); the Gram fallback answers
         (11, 94, 26, _implicit_from_dense),
     ], ids=["repeated-sigma", "mixed-vectors"])
     def test_stress_matrix_matches_oracle(self, seed, trial, r, view):
@@ -265,7 +331,8 @@ class TestPropackSolver:
 
     @pytest.mark.parametrize("r", [25, 40])
     def test_rank_above_operator_rank_falls_back_to_dense(self, r):
-        # rank 20 < r: the Lanczos run breaks down and the dense SVD answers
+        # rank 20 < r: the Lanczos run breaks down and the eigensolve of the
+        # dense matrix's Gram answers
         a = _low_rank(60, 40, 20, seed=13)
         u, s = truncated_svd(_implicit_from_dense(a), r, seed=1)
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
@@ -277,7 +344,8 @@ class TestPropackSolver:
         ("raise", "k=5 singular triplets did not converge"), ("ghost", "inaccurate triplets"),
     ])
     def test_failed_lanczos_run_on_large_operator_raises(self, monkeypatch, bad, message):
-        # 3000 x 2000 is past DENSE_FALLBACK_SIZE: no dense matrix is built
+        # 3000 x 2000 at r = 5: the Gram outgrows even the retry run's bases,
+        # so no dense matrix is built
         def propack(*args, **kwargs):
             if bad == "raise":
                 raise np.linalg.LinAlgError("k=5 singular triplets did not converge")
@@ -286,25 +354,26 @@ class TestPropackSolver:
         monkeypatch.setattr(seqrec.linalg, "svds", propack)
         y = ImplicitMatrix((3000, 2000), matvec=lambda x: np.zeros(3000),
                            rmatvec=lambda x: np.zeros(2000))
-        y.dense = lambda: pytest.fail("dense fallback taken")
-        assert 3000 * 2000 > DENSE_FALLBACK_SIZE
+        y.dense = lambda: pytest.fail("Gram fallback taken")
+        assert not seqrec.linalg._gram_fits(shaped((3000, 2000)), 5, RETRY_BASIS_FACTOR)
         with pytest.raises(ConvergenceError, match=message):
             truncated_svd(y, 5, seed=0)
 
     def test_dense_failure_raises_convergence_error(self, monkeypatch):
+        # PROPACK fails, and so does the Gram fallback's eigensolve
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(seqrec.linalg, "svds", failing)
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(ConvergenceError, match="did not converge"):
             truncated_svd(_implicit_from_dense(np.ones((50, 40))), 5, seed=0)
 
 
 def _puresvd_solve():
     """PureSVD at r = 40 on a 400 x 350 binary log: its 350 x 400 operator
-    gets a 300-step basis first, where RETRY_BASIS_FACTOR * r asks for 400
-    (351 after scipy's clip)."""
+    gets a 300-step basis first, where RETRY_BASIS_FACTOR * r asks for 400,
+    clipped to 351."""
     dense = np.random.default_rng(3).random((400, 350)) < 0.05
     log = make_log([(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))], 400, 350)
     return lambda: (train_puresvd(log, r=40, s=0.4).v,)
@@ -324,7 +393,8 @@ def _la_mode_one_solve():
     return lambda: truncated_svd(op, 40, seed=5)
 
 
-_CAP_CASES = {"puresvd": _puresvd_solve, "la-mode-1": _la_mode_one_solve}
+# each solve, and its RETRY_BASIS_FACTOR * r basis clipped to min(rows, cols) + 1
+_CAP_CASES = {"puresvd": (_puresvd_solve, 351), "la-mode-1": (_la_mode_one_solve, 361)}
 
 
 def _recorded(monkeypatch, solve, factor, fail=lambda k, maxiter: False):
@@ -353,35 +423,37 @@ class TestLanczosBasisCap:
     run that raises there is redone on RETRY_BASIS_FACTOR * r."""
 
     @pytest.fixture(autouse=True)
-    def no_dense_size(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+    def no_first_gram(self, monkeypatch):
+        propack_first(monkeypatch)
 
     @pytest.mark.parametrize("case", list(_CAP_CASES))
     def test_capped_solve_equals_the_full_basis_solve(self, monkeypatch, case):
-        solve = _CAP_CASES[case]()
+        make, full_basis = _CAP_CASES[case]
+        solve = make()
         capped, calls, state = _recorded(monkeypatch, solve, LANCZOS_BASIS_FACTOR)
         full, full_calls, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
         # the solve and the deflated search, each run once
         assert calls == [(40, MIN_LANCZOS_BASIS), (1, MISS_SEARCH_BASIS)]
-        assert full_calls == [(40, RETRY_BASIS_FACTOR * 40), (1, MISS_SEARCH_BASIS)]
+        assert full_calls == [(40, full_basis), (1, MISS_SEARCH_BASIS)]
         assert all(np.array_equal(a, b) for a, b in zip(capped, full))
         assert state == full_state
 
     @pytest.mark.parametrize("case", list(_CAP_CASES))
     def test_run_that_outgrows_the_cap_is_redone_exactly(self, monkeypatch, case):
-        solve = _CAP_CASES[case]()
+        make, full_basis = _CAP_CASES[case]
+        solve = make()
         retried, calls, state = _recorded(
-            monkeypatch, solve, LANCZOS_BASIS_FACTOR,
-            fail=lambda k, maxiter: maxiter < max(RETRY_BASIS_FACTOR * k, MIN_LANCZOS_BASIS))
+            monkeypatch, solve, LANCZOS_BASIS_FACTOR, fail=lambda k, maxiter: maxiter < min(
+                max(RETRY_BASIS_FACTOR * k, MIN_LANCZOS_BASIS), full_basis))
         full, _, full_state = _recorded(monkeypatch, solve, RETRY_BASIS_FACTOR)
-        assert calls == [(40, MIN_LANCZOS_BASIS), (40, RETRY_BASIS_FACTOR * 40),
+        assert calls == [(40, MIN_LANCZOS_BASIS), (40, full_basis),
                          (1, MISS_SEARCH_BASIS), (1, MIN_LANCZOS_BASIS)]
         assert all(np.array_equal(a, b) for a, b in zip(retried, full))
         assert state == full_state
 
     @pytest.mark.parametrize("case", list(_CAP_CASES))
     def test_search_that_outgrows_its_basis_is_redone_exactly(self, monkeypatch, case):
-        solve = _CAP_CASES[case]()
+        solve = _CAP_CASES[case][0]()
         retried, calls, state = _recorded(
             monkeypatch, solve, LANCZOS_BASIS_FACTOR,
             fail=lambda k, maxiter: k == 1 and maxiter < MIN_LANCZOS_BASIS)
@@ -395,10 +467,10 @@ class TestLanczosBasisCap:
     @pytest.mark.parametrize("shape, k, maxiters", [
         ((400, 350), 30, [300]),  # 5 k and 10 k are both at most the floor
         ((400, 350), 31, [300, 310]),
-        ((400, 120), 40, [300]),  # scipy clips both bases to 121
+        ((400, 120), 40, [121]),  # both bases clip to 121
     ], ids=["k=30", "k=31", "clipped"])
     def test_retried_only_when_the_full_basis_is_larger(self, monkeypatch, shape, k, maxiters):
-        # every run raises: the dense fallback answers after one or two runs
+        # every run raises: the Gram fallback answers after one or two runs
         a = np.random.default_rng(9).standard_normal(shape)
         (u, s), calls, _ = _recorded(monkeypatch, lambda: truncated_svd(
             _implicit_from_dense(a), k, seed=0), LANCZOS_BASIS_FACTOR,
@@ -427,7 +499,8 @@ class TestPropackRequests:
     values alone, on a MISS_SEARCH_BASIS basis."""
 
     def test_puresvd_solve(self, monkeypatch):
-        solve = _puresvd_solve()  # its 350 x 400 operator is past DENSE_SVD_SIZE
+        solve = _puresvd_solve()
+        propack_first(monkeypatch)
         requests = _requested(monkeypatch)
         solve()
         assert requests == [(40, MIN_LANCZOS_BASIS, SVD_TOL, "u"),
@@ -447,13 +520,13 @@ class TestPropackRequests:
                 return _SVDS(op, k=k, **kwargs)
             return q1[:, keep], sigma[keep], None
 
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         requests = _requested(monkeypatch, missing_two_copies)
         truncated_svd(_iterative_only((q1 * sigma) @ q2.T), 6, seed=0)
+        # the solve and each fetch on MIN_LANCZOS_BASIS clipped to 45 + 1
         search = (1, MISS_SEARCH_BASIS, MISS_SEARCH_TOL, False)
-        fetch = (1, MIN_LANCZOS_BASIS, SVD_TOL, "u")
-        assert requests == [(6, MIN_LANCZOS_BASIS, SVD_TOL, "u"),
-                            search, fetch, search, fetch, search]
+        fetch = (1, 46, SVD_TOL, "u")
+        assert requests == [(6, 46, SVD_TOL, "u"), search, fetch, search, fetch, search]
 
     @pytest.mark.parametrize("shape", [(70, 45), (45, 70)], ids=["tall", "wide"])
     def test_left_vectors_alone_equal_the_full_request(self, shape):
@@ -485,8 +558,8 @@ def _with_gram(a):
 
 
 class TestGramSolve:
-    """Small operators, and any that carry a Gram, are solved by a Gram
-    eigensolve, not an SVD."""
+    """Operators whose Gram is no larger than PROPACK's bases are solved by
+    a Gram eigensolve, not an SVD: through the Gram they carry, if any."""
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
     def test_matches_dense_svd(self, monkeypatch, shape):
@@ -510,10 +583,9 @@ class TestGramSolve:
         assert _principal_angle(u[:, :3], np.linalg.svd(a)[0][:, :3]) < 1e-8
 
     def test_carried_gram_at_any_size(self, monkeypatch):
-        # 40 x 2400 is past DENSE_SVD_SIZE: its Gram is solved, and the
-        # operator is never applied or materialized
+        # 40 x 2400: its carried Gram is solved, and the operator is never
+        # applied or materialized
         a = np.random.default_rng(5).standard_normal((40, 2400))
-        assert a.size > DENSE_SVD_SIZE
         u_ref, s_ref, _ = np.linalg.svd(a, full_matrices=False)
         y = _with_gram(a)
         y.matvec = y.rmatvec = y.dense = None
@@ -622,7 +694,7 @@ class TestSolveRecord:
         return runs
 
     def test_propack(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         a = np.random.default_rng(24).standard_normal((70, 45))
         y, count = _counting(a)
         runs = self._propack_runs(monkeypatch, count)
@@ -651,7 +723,7 @@ class TestSolveRecord:
                 return _SVDS(op, k=k, **kwargs)
             return q1[:, keep], sigma[keep], None
 
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         monkeypatch.setattr(seqrec.linalg, "svds", missing_two_copies)
         _, _, record = _recorded_solve(_implicit_from_dense((q1 * sigma) @ q2.T), 6, seed=0)
         assert record["path"] == "propack" and record["misses"] == 2
@@ -660,7 +732,7 @@ class TestSolveRecord:
 
     def test_propack_basis_retry(self, monkeypatch):
         # a 20-vector first basis, whose run raises, and a 30-vector retry
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         monkeypatch.setattr(seqrec.linalg, "MIN_LANCZOS_BASIS", 20)
         q1, _ = np.linalg.qr(np.random.default_rng(25).standard_normal((70, 45)))
         q2, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((45, 45)))
@@ -675,18 +747,86 @@ class TestSolveRecord:
         assert record["applies"] == {"solve": runs[0][2] + runs[1][2], "check": 2,
                                      "miss": runs[2][2]}
 
-    def test_dense_fallback(self, monkeypatch):
+    def test_gram_fallback(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("k=3 singular triplets did not converge")
 
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        propack_first(monkeypatch)
         monkeypatch.setattr(seqrec.linalg, "svds", failing)
         a = np.random.default_rng(15).standard_normal((50, 40))
         _, _, record = _recorded_solve(_implicit_from_dense(a), 3, seed=0)
-        assert record["path"] == "dense-fallback"
+        assert record["path"] == "gram-fallback"
         assert record["applies"] == {"solve": 40, "check": 0, "miss": 0}
         assert (record["retries"], record["misses"]) == (0, 0)
         assert record["gap"] == pytest.approx(_gap(a, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["solved", "failed"])
+    def test_propack_output_goes_into_the_record(self, monkeypatch, capfd, fail):
+        # what a PROPACK run prints past Python's streams: straight to file
+        # descriptor 2, and through C's buffered stdout
+        line = b"** On entry to DLASCL parameter number 4 had an illegal value"
+
+        def noisy(op, k, **kwargs):
+            os.write(2, b"fd 2\n")
+            _LIBC.printf(b"%s\n", line)
+            if fail:
+                raise np.linalg.LinAlgError(f"k={k} singular triplets did not converge")
+            return _SVDS(op, k=k, **kwargs)
+
+        propack_first(monkeypatch)
+        monkeypatch.setattr(seqrec.linalg, "svds", noisy)
+        a = np.random.default_rng(24).standard_normal((70, 45))
+        record = {}
+        truncated_svd(_implicit_from_dense(a), 6, seed=2, record=record)
+        # the solve and the search; or the one failed run, whose retry basis
+        # would be no larger, before the Gram fallback
+        assert record["path"] == ("gram-fallback" if fail else "propack")
+        assert record["printed"] == ["fd 2", line.decode()] * (1 if fail else 2)
+        os.write(2, b"after\n")
+        _LIBC.fflush(None)
+        assert capfd.readouterr() == ("", "after\n")
+
+    def test_lapack_error_line_of_a_stress_matrix(self, monkeypatch, capfd):
+        # 82 x 225, rank 21, at r = 30: with scipy 1.17's OpenBLAS, LAPACK's
+        # error handler prints this line through C's buffered stdout during
+        # the solve, which uncaptured reaches the process's stdout
+        a = _stress_matrix(2, 14)
+        propack_first(monkeypatch)
+        record = {}
+        u, s = truncated_svd(_implicit_from_dense(a), 30, seed=3, record=record)
+        _LIBC.fflush(None)
+        assert capfd.readouterr() == ("", "")
+        assert set(record["printed"]) <= {
+            " ** On entry to DLASCL parameter number  4 had an illegal value"}
+        _assert_matches_oracle(a, u, s)
+
+    def test_descriptor_that_cannot_be_duplicated_runs_uncaptured(self, monkeypatch):
+        # fd 2 cannot be duplicated: the run goes on uncaptured, and the
+        # duplicate of fd 1 already made is closed
+        dup, made = os.dup, []
+
+        def failing_dup(fd):
+            if fd == 2:
+                raise OSError(errno.EBADF, "Bad file descriptor")
+            made.append(dup(fd))
+            return made[-1]
+
+        propack_first(monkeypatch)
+        monkeypatch.setattr(os, "dup", failing_dup)
+        a = np.random.default_rng(24).standard_normal((70, 45))
+        record = {}
+        u, s = truncated_svd(_implicit_from_dense(a), 6, seed=2, record=record)
+        monkeypatch.undo()
+        assert record["path"] == "propack" and record["printed"] == []
+        assert made
+        for fd in made:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        _assert_matches_oracle(a, u, s)
+
+    def test_gram_paths_print_nothing(self):
+        _, _, record = _recorded_solve(_implicit_from_dense(np.eye(5)), 2)
+        assert record["path"] == "matrix-gram" and record["printed"] == []
 
     @pytest.mark.parametrize("built", [True, False], ids=["dense", "applies"])
     def test_exact(self, built):
@@ -700,7 +840,8 @@ class TestSolveRecord:
         assert record["gap"] == pytest.approx(_gap(a, 2), rel=1e-12)
 
     def test_failed_solve_leaves_its_path(self, monkeypatch):
-        # 3000 x 2000 is past DENSE_FALLBACK_SIZE: the PROPACK failure raises
+        # 3000 x 2000 at r = 5 is past the retry run's bases: the PROPACK
+        # failure raises
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("k=5 singular triplets did not converge")
 
@@ -724,22 +865,22 @@ def _raising(name):
     ((6, 9), ["eigh"], "operator-gram"),
     ((6, 9), ["eigh"], "matrix-gram"),
     ((9, 6), ["qr"], "matrix-gram"),
-    ((50, 40), ["svds", "svd"], "dense-fallback"),
+    ((50, 40), ["svds", "eigh"], "gram-fallback"),
     ((6, 9), ["svd"], "exact"),
-    ((3000, 2000), ["svds"], "propack"),  # past DENSE_FALLBACK_SIZE: no dense matrix
+    ((3000, 2000), ["svds"], "propack"),  # past the retry run's bases: no dense matrix
 ], ids=["operator-gram-eigh", "wide-matrix-gram-eigh", "tall-matrix-gram-qr",
-        "dense-fallback-svd", "exact-svd", "large-propack"])
+        "gram-fallback-eigh", "exact-svd", "large-propack"])
 def test_linalg_error_of_each_path_is_one_convergence_error(monkeypatch, shape, raising, path):
     # each listed call raises; the last one to run is the one reported
     for name in raising:
         monkeypatch.setattr(seqrec.linalg if name == "svds" else np.linalg, name,
                             _raising(name))
-    if path == "dense-fallback":
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+    if path == "gram-fallback":
+        propack_first(monkeypatch)
     if path == "propack":
         y = ImplicitMatrix(shape, matvec=lambda x: np.zeros(shape[0]),
                            rmatvec=lambda x: np.zeros(shape[1]))
-        y.dense = lambda: pytest.fail("dense fallback taken")
+        y.dense = lambda: pytest.fail("Gram fallback taken")
     else:
         a = np.random.default_rng(27).standard_normal(shape)
         y = _with_gram(a) if path == "operator-gram" else _implicit_from_dense(a)

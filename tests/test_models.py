@@ -19,7 +19,7 @@ from oracles import (
     hankelize,
     random_tensor,
 )
-from helpers import make_log
+from helpers import _GRAM_FITS, make_log, propack_first, shaped
 import seqrec.linalg
 import seqrec.models
 from seqrec.evaluation import _top_n
@@ -130,10 +130,10 @@ class TestPureSVD:
 
     @pytest.mark.parametrize("s", [0.0, 0.4])
     def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
-        # 60 x 50 at rank 5, with DENSE_SVD_SIZE at 0, goes to one PROPACK
-        # solve, then the one-vector solve on the deflated operator that finds
-        # no missed copy
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        # 60 x 50 at rank 5, sent to PROPACK, goes to one PROPACK solve, then
+        # the one-vector solve on the deflated operator that finds no missed
+        # copy
+        propack_first(monkeypatch)
         dense = np.random.default_rng(3).random((60, 50)) < 0.2
         rows = [(u, j, t) for t, (u, j) in enumerate(zip(*np.nonzero(dense)))]
         calls = []
@@ -295,8 +295,7 @@ def _la_operator_case(m, n, k, window, ranks, seed):
 
 
 class TestLongWindowOperators:
-    """Windows of 34: the explicit mode-3 unfolding is wide enough for the
-    iterative solver once DENSE_SVD_SIZE is 0."""
+    """Windows of 34: the explicit mode-3 unfolding is 34 rows high."""
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_matches_dense_oracle(self, mode):
@@ -460,12 +459,12 @@ def _assert_iterative_agrees(monkeypatch, make, iterative_shapes, factor_names, 
 
 
 class TestIterativeAgreesWithExact:
-    """PROPACK on tall and wide unfoldings against dense SVDs, with
-    DENSE_SVD_SIZE at 0 so that these small unfoldings reach it."""
+    """PROPACK on tall and wide unfoldings against dense SVDs, with every
+    first run sent to PROPACK so that these small unfoldings reach it."""
 
     @pytest.fixture(autouse=True)
-    def no_dense_size(self, monkeypatch):
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+    def no_first_gram(self, monkeypatch):
+        propack_first(monkeypatch)
 
     def test_global_wide_mode_one(self, monkeypatch):
         tensor = random_tensor(50, 80, 12, seed=0)
@@ -480,8 +479,9 @@ class TestIterativeAgreesWithExact:
             exact_svd=exact), [(50, 100), (80, 50)], ("u", "v", "w_l", "w_s"))
 
     def test_local_long_window_mode_three(self, monkeypatch):
-        # window 34: the 34 x r4*r2*r1 unfolding is past the dense limits,
-        # yet mode 3 takes its window x window Gram, not PROPACK
+        # window 34: under the path rule as it stands, mode 3 takes the
+        # window x window Gram of its 34 x r4*r2*r1 unfolding, not PROPACK
+        monkeypatch.setattr(seqrec.linalg, "_gram_fits", _GRAM_FITS)
         tensor = random_tensor(30, 40, 40, seed=1, min_len=5)
         shapes = _assert_iterative_agrees(monkeypatch, lambda exact: LocalAttentionTrainer(
             tensor, 34, build_attention(34, f=1.0), (4, 4, 2, 3), seed=0,
@@ -490,19 +490,20 @@ class TestIterativeAgreesWithExact:
 
 
 def test_natural_size_mode_one_reaches_propack(monkeypatch):
-    # a mode 1 of 1000 x r2*r3 = 100 at r1 = 20, about ga-k32's 995 x 100, is
-    # past DENSE_SVD_SIZE as it stands: PROPACK runs on a basis that spans the
-    # short side, with no size limit lowered
-    tensor = random_tensor(1000, 60, 8, seed=5, min_len=2)
+    # a wide mode 1 of 700 x r3*r2 = 800 at r1 = 20: its 700 x 700 Gram
+    # outgrows the 300-vector bases of PROPACK's first run, (700 + 800) * 300
+    # numbers, so PROPACK runs with no rule changed
+    tensor = random_tensor(700, 200, 12, seed=5, min_len=2)
     trainers = []
 
     def make(exact):
-        trainers.append(GlobalAttentionTrainer(tensor, build_attention(8, f=1.0), (20, 25, 4),
-                                               seed=0, exact_svd=exact))
+        trainers.append(GlobalAttentionTrainer(tensor, build_attention(12, f=1.0),
+                                               (20, 100, 8), seed=0, exact_svd=exact))
         return trainers[-1]
 
-    assert 1000 * 25 * 4 > seqrec.linalg.DENSE_SVD_SIZE
-    _assert_iterative_agrees(monkeypatch, make, [(1000, 100)], ("u", "v", "w_l"), sweeps=2)
+    assert not seqrec.linalg._gram_fits(shaped((700, 800), carried=True), 20,
+                                        seqrec.linalg.LANCZOS_BASIS_FACTOR)
+    _assert_iterative_agrees(monkeypatch, make, [(700, 800)], ("u", "v", "w_l"), sweeps=2)
     paths = {(r["mode"], r["path"]) for r in trainers[0].solves}
     assert paths == {(1, "propack"), (2, "matrix-gram"), (3, "operator-gram")}
 
@@ -845,7 +846,8 @@ class TestLocalTrainer:
             return tr
 
         a, b = swept(0), swept(7)
-        assert [r["path"] for r in a.solves] == ["matrix-gram"] * 2 + ["operator-gram"] * 2
+        # modes 1 (12 x 12) and 2 (9 x 16, wide: it carries its Gram), 3 and 4
+        assert [r["path"] for r in a.solves] == ["matrix-gram"] + ["operator-gram"] * 3
         assert a.fit_history == b.fit_history
         for name in ("u", "v", "w_l", "w_s"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -1146,9 +1148,9 @@ class TestSerialization:
 
     def test_models_score_like_their_saved_copy(self, tmp_path, monkeypatch):
         # Factors are C-contiguous, as load_model returns them, so BLAS rounds
-        # the in-memory and the reloaded model's scores alike. DENSE_SVD_SIZE
-        # at 0 keeps "svd-iterative" on PROPACK.
-        monkeypatch.setattr(seqrec.linalg, "DENSE_SVD_SIZE", 0)
+        # the in-memory and the reloaded model's scores alike. Every first run
+        # sent to PROPACK keeps "svd-iterative" there.
+        propack_first(monkeypatch)
         for name, model in self._layout_models().items():
             for field_name, value in vars(model).items():
                 if isinstance(value, np.ndarray):
