@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "ImplicitMatrix",
-    "SkewBlockCache",
-    "truncated_svd",
-    "skew_block_cache",
-]
+__all__ = ["ConvergenceError", "ImplicitMatrix", "truncated_svd"]
 
 # svds hands PROPACK tol**2, so PROPACK works to 1e-16 relative accuracy.
 SVD_TOL = 1e-8
@@ -114,13 +108,16 @@ def _lanczos_basis(shape, r, factor):
 
 
 def _gram_fits(y, r, factor):
-    """The path rule: whether what the Gram path holds, the operator's own
-    Gram (min(rows, cols) ** 2 numbers) where it carries one and else its
-    materialized matrix (rows * cols), is no larger than the two Lanczos
-    bases, (rows + cols) * kmax numbers, of a PROPACK run on a ``factor``
-    basis."""
+    """The path rule: whether what the Gram path holds, the Gram
+    (min(rows, cols) ** 2 numbers) and, for an operator that carries none,
+    the materialized matrix it is formed from (rows * cols), is no larger
+    than the two Lanczos bases, (rows + cols) * kmax numbers, of a PROPACK
+    run on a ``factor`` basis. It weighs memory only: on a tall user or item
+    mode, whose every apply contracts all tensor entries, PROPACK holds about
+    half the Gram path's memory and takes three to four times its time
+    (README's path section)."""
     rows, cols = y.shape
-    held = min(rows, cols) ** 2 if y.gram is not None else rows * cols
+    held = min(rows, cols) ** 2 + (rows * cols if y.gram is None else 0)
     return held <= (rows + cols) * _lanczos_basis(y.shape, r, factor)
 
 
@@ -270,9 +267,9 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
     singular values. Unless ``exact``, one rule picks the solve: a Gram
-    eigensolve exactly when what it holds, the operator's ``gram`` or else
-    its materialized matrix, is no larger than the Lanczos bases of
-    PROPACK's first run (``_gram_fits``), else PROPACK, seeded by ``seed``.
+    eigensolve exactly when what it holds, the Gram and, for an operator
+    without ``gram``, its materialized matrix, is no larger than the Lanczos
+    bases of PROPACK's first run (``_gram_fits``), else PROPACK, seeded by ``seed``.
     The eigensolve solves the operator's ``gram`` if it carries one, else
     A A^T or A^T A of its materialized matrix. From a rows x rows Gram it
     gives s = sqrt(max(lambda, 0)): squaring halves the digits, so singular

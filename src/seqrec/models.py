@@ -202,13 +202,16 @@ class SVDModel:
         return _project_scores(self, items, np.ones(len(items)))
 
 
-def _user_item_operator(users, items, shape, d):
-    """The scaled item x user matrix ``D X^T`` as an n x m operator, where X
-    (m x n) counts the (user, item) pairs. ``dense`` builds it with NumPy; the
-    CSR matrix ``X D``, and SciPy, is built on the first apply, which only
-    PROPACK makes. ``matvec`` applies its transpose view, which shares its
-    arrays and sums each output in the order the CSR of ``D X^T`` would.
-    """
+def _item_spectrum(users, items, shape, d, r, seed, exact=False):
+    """The leading r left singular vectors of the scaled item x user matrix
+    ``D X^T``, where X (m x n) counts the (user, item) pairs: PureSVD's
+    factorization, and HOSVD's start for a trainer's V (not a sweep's solve).
+    ``truncated_svd`` solves it as an n x m operator. Its ``dense`` builds it
+    with NumPy; the CSR matrix ``X D``, and SciPy, is built on the first
+    apply, which only PROPACK makes. ``matvec`` applies its transpose view,
+    which shares its arrays and sums each output in the order the CSR of
+    ``D X^T`` would. Past the user count, where the matrix has fewer columns
+    than r, they are the leading eigenvectors of the item Gram ``D X^T X D``."""
     m, n = shape
 
     @cache
@@ -228,7 +231,10 @@ def _user_item_operator(users, items, shape, d):
         return out.reshape(n, m)
 
     op.dense = dense
-    return op
+    if r > m:
+        a = dense()
+        return _gram_pairs(a @ a.T, r)[0]
+    return truncated_svd(op, r, seed=seed, exact=exact)[0]
 
 
 def train_puresvd(train, r, s=1.0, seed=0):
@@ -238,8 +244,7 @@ def train_puresvd(train, r, s=1.0, seed=0):
     if r > min(m, n):
         raise ValueError(f"rank {r} infeasible for a {m} x {n} matrix")
     scaling = build_scaling(train.item_counts(), s, neutral_missing=True)
-    op = _user_item_operator(train.users, train.items, (m, n), scaling.d)
-    v, _ = truncated_svd(op, r, seed=seed)
+    v = _item_spectrum(train.users, train.items, (m, n), scaling.d, r, seed)
     # C order, as load_model returns it: the layout decides how BLAS rounds scores
     return SVDModel(v=np.ascontiguousarray(v), scaling=scaling, regime="plain")
 
@@ -499,26 +504,14 @@ class LocalAttentionTrainer:
         init = init or {}
         if init.keys() - {"V", "W_L", "W_S"}:
             raise ValueError(f"init takes V, W_L and W_S, got {sorted(init)}")
-        self.v = init["V"] if "V" in init else self._spectral_start(r2)
+        self.v = init["V"] if "V" in init else _item_spectrum(
+            tensor.users, tensor.items, (m, n), self.scaling.d, r2, seed, exact_svd)
         self.w_l = init.get("W_L", _newest_slots(window, r3))
         self.w_s = init.get("W_S", _newest_slots(k_s, r4))
         self.u = None
         self.sweep_count = 0
         self.fit_history = []
         self.solves = []
-
-    def _spectral_start(self, r):
-        """The leading r left singular vectors of the scaled item x user matrix
-        ``D X^T`` of the tensor's (user, item) entries: HOSVD's start for V.
-        This solve is not a sweep's, so ``solves`` does not keep it. Past the
-        user count, where the matrix has fewer columns than r, they are the
-        leading eigenvectors of the item Gram ``D X^T X D``."""
-        m, n, _ = self.tensor.shape
-        op = _user_item_operator(self.tensor.users, self.tensor.items, (m, n), self.scaling.d)
-        if r <= m:
-            return truncated_svd(op, r, seed=self.seed, exact=self.exact_svd)[0]
-        a = op.dense()
-        return _gram_pairs(a @ a.T, r)[0]
 
     def sweep(self):
         factors = {"U": self.u, "V": self.v, "W_A": self.attention.apply(self.w_l),

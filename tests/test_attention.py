@@ -23,6 +23,8 @@ class TestBuildAttention:
     def test_size1(self):
         for f in (0.0, 0.7, 3.0):
             assert np.array_equal(build_attention(1, f=f).dense(), [[1.0]])
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            build_attention(0)
 
     def test_negative_f_rejected(self):
         with pytest.raises(ValueError, match="f"):

@@ -85,6 +85,13 @@ class TestPrepare:
         _write_config(cfg, dataset={"path": "x"})
         assert main(["--config", str(cfg), "prepare"]) == 2
 
+    def test_missing_dataset_path_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        _write_config(cfg, seed=0, output=str(tmp_path / "out"))
+        assert main(["--config", str(cfg), "prepare"]) == 2
+        assert capsys.readouterr().err == "config error: config must set dataset.path\n"
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_timestamp_exit_1(self, tmp_path, capsys):
         cfg, _ = _toy_config(tmp_path)
         (tmp_path / "events.csv").write_text("user,item,timestamp\nu1,b,inf\n")

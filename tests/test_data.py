@@ -69,6 +69,10 @@ class TestIngest:
         with pytest.raises(ParseError, match="empty"):
             ingest_log(_source(tmp_path, "user,item,timestamp\n"))
 
+    def test_header_without_a_named_column(self, tmp_path):
+        with pytest.raises(ParseError, match="missing column in header: 'timestamp'"):
+            ingest_log(_source(tmp_path, "user,item,time\nu,i,1\n"))
+
     def test_negative_timestamp_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="negative"):
             ingest_log(_source(tmp_path, "user,item,timestamp\nu,i,-3\n"))
@@ -243,6 +247,8 @@ class TestCoreFilter:
         log = make_log([(0, 0, 0), (1, 1, 1)])
         with pytest.raises(DataError, match="k-core empty"):
             core_filter(log, 2)
+        with pytest.raises(DataError, match="k must be >= 1"):
+            core_filter(log, 0)
 
     def test_maps_redensified(self):
         rows = [(0, 0, 0),
@@ -306,6 +312,8 @@ class TestTimepointSplit:
             timepoint_split(log, 1, 5)
         with pytest.raises(DataError, match="test"):
             timepoint_split(log, 2, 9)
+        with pytest.raises(DataError, match="t_valid must be < t_test"):
+            timepoint_split(log, 3, 2)
 
     def test_counting_boundary_helper(self):
         rng = np.random.default_rng(0)
@@ -365,6 +373,8 @@ class TestPositionalTensor:
         x = build_positional_tensor(log, 5)
         assert list(x.items) == [2, 3, 4, 5, 6]
         assert list(x.positions) == [1, 2, 3, 4, 5]
+        with pytest.raises(DataError, match="K must be >= 1"):
+            build_positional_tensor(log, 0)
 
     def test_per_user_invariants(self):
         rng = np.random.default_rng(2)

@@ -305,6 +305,9 @@ class TestBatchedWalk:
         train, test = _random_split(0, 3, False)
         with pytest.raises(ValueError, match="n must be"):
             evaluate(_model("svd-plain", train), train, test, n=0)
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            evaluate(dataclasses.replace(_model("svd-plain", train), regime="bogus"),
+                     train, test, n=3)
 
 
 class _ScriptedTrainer:

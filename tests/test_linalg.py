@@ -138,14 +138,14 @@ class TestTruncatedSvd:
         assert np.allclose(s1, s2, atol=1e-8)
         assert _principal_angle(u1, u2) < 1e-8
 
-    @pytest.mark.parametrize("size, solver_calls", [(600, False), (601, True)],
+    @pytest.mark.parametrize("size, solver_calls", [(300, False), (301, True)],
                              ids=["at-size", "one-past-size"])
     def test_dense_size_boundary(self, monkeypatch, size, solver_calls):
         # at r = 3 PROPACK's first run gets 300-vector bases: an n x n
-        # operator's Gram, n ** 2 numbers, is no larger than the bases'
-        # 2 n * 300 up to n = 600, and PROPACK runs from n = 601
+        # operator's matrix and Gram, 2 n ** 2 numbers, are no larger than
+        # the bases' 2 n * 300 up to n = 300, and PROPACK runs from n = 301
         a = np.random.default_rng(5).standard_normal((size, size))
-        assert (size ** 2 <= 2 * size * MIN_LANCZOS_BASIS) != solver_calls
+        assert (2 * size ** 2 <= 2 * size * MIN_LANCZOS_BASIS) != solver_calls
         calls = []
         svds = seqrec.linalg.svds
         monkeypatch.setattr(seqrec.linalg, "svds", lambda *args, **kwargs:
@@ -156,10 +156,10 @@ class TestTruncatedSvd:
 
 
 class TestPathRule:
-    """The Gram eigensolve exactly where what it holds, the operator's own
-    Gram if it carries one and else its materialized matrix, is no larger
-    than the Lanczos bases of PROPACK's first run; a failed run falls back to
-    it within the retry run's bases."""
+    """The Gram eigensolve exactly where what it holds, the Gram and, for an
+    operator that carries none, its materialized matrix, is no larger than
+    the Lanczos bases of PROPACK's first run; a failed run falls back to it
+    within the retry run's bases."""
 
     @pytest.mark.parametrize("shape, r, carried, gram", [
         ((197, 256), 20, False, True), ((256, 180), 20, False, True),
@@ -169,17 +169,25 @@ class TestPathRule:
         ((5997, 10000), 100, True, False), ((3700, 10000), 100, True, False),
         ((5997, 50000), 500, True, True), ((3700, 50000), 500, True, True),
         ((5997, 32), 16, False, True), ((3700, 32), 16, False, True),
-        ((3700, 6000), 500, False, True), ((3700, 6000), 200, False, False),
+        ((3700, 6000), 500, False, False), ((3700, 6000), 200, False, False),
         ((3700, 100000), 100, False, False), ((3700, 100000), 100, True, True),
+        ((3700, 2500), 300, False, False), ((5997, 2500), 400, False, False),
+        ((3700, 2500), 500, False, True),
     ], ids=["la-k40-start", "la-k40-item-mode", "la-k40-user-mode", "svd-230k",
             "ga-k32-start", "ga-k32-user-mode", "ga-k50-start",
             "ml-1m-user-mode-r100", "ml-1m-item-mode-r100", "ml-1m-user-mode-r500",
             "ml-1m-item-mode-r500", "ml-1m-narrow-user-mode", "ml-1m-narrow-item-mode",
             "ml-1m-puresvd-r500", "ml-1m-puresvd-r200",
-            "puresvd-many-users", "carried-gram-many-columns"])
+            "puresvd-many-users", "carried-gram-many-columns",
+            "ml-1m-tall-item-mode-r300", "ml-1m-tall-user-mode-r400",
+            "ml-1m-tall-item-mode-r500"])
     def test_rule(self, shape, r, carried, gram):
-        # the last two differ only in what the Gram path would hold: a
-        # 3700 x 100,000 matrix outgrows the bases, its 3700 ** 2 Gram does not
+        # puresvd-many-users and carried-gram-many-columns differ only in
+        # what the Gram path would hold: a 3700 x 100,000 matrix outgrows the
+        # bases, its 3700 ** 2 Gram does not; at r = 500 PureSVD's
+        # 3700 x 6000 matrix and Gram, 3.6e7 numbers, outgrow the 2.4e7 of
+        # the bases. A tall mode without a Gram takes the eigensolve only once
+        # kmax reaches its short side: 2500 at r = 500
         for rows, cols in (shape, shape[::-1]):
             y = shaped((rows, cols), carried)
             assert seqrec.linalg._gram_fits(y, r, LANCZOS_BASIS_FACTOR) == gram
@@ -192,9 +200,9 @@ class TestPathRule:
         monkeypatch.setattr(seqrec.linalg, "_checked_propack", failing)
 
     def test_failed_run_takes_the_gram_fallback(self, monkeypatch):
-        # 700 x 700 at r = 40: the Gram, 490,000 numbers, outgrows the first
-        # run's 1400 * 300 and fits the retry run's 1400 * 400
-        a = np.random.default_rng(31).standard_normal((700, 700))
+        # 400 x 400 at r = 40: the matrix and its Gram, 320,000 numbers,
+        # outgrow the first run's 800 * 300 and fit the retry run's 800 * 400
+        a = np.random.default_rng(31).standard_normal((400, 400))
         assert not seqrec.linalg._gram_fits(shaped(a.shape), 40, LANCZOS_BASIS_FACTOR)
         assert seqrec.linalg._gram_fits(shaped(a.shape), 40, RETRY_BASIS_FACTOR)
         self._failing_check(monkeypatch)
@@ -204,7 +212,7 @@ class TestPathRule:
         record = {}
         u, s = truncated_svd(_implicit_from_dense(a), 40, seed=0, record=record)
         assert record["path"] == "gram-fallback" and not calls
-        assert record["applies"]["solve"] == 700
+        assert record["applies"]["solve"] == 400
         _assert_matches_oracle(a, u, s)
 
     def test_failed_run_past_the_retry_bases_raises(self, monkeypatch):
@@ -465,8 +473,8 @@ class TestLanczosBasisCap:
         assert state == direct_state
 
     @pytest.mark.parametrize("shape, k, maxiters", [
-        ((400, 350), 30, [300]),  # 5 k and 10 k are both at most the floor
-        ((400, 350), 31, [300, 310]),
+        ((400, 300), 30, [300]),  # 5 k and 10 k are both at most the floor
+        ((400, 310), 31, [300, 310]),
         ((400, 120), 40, [121]),  # both bases clip to 121
     ], ids=["k=30", "k=31", "clipped"])
     def test_retried_only_when_the_full_basis_is_larger(self, monkeypatch, shape, k, maxiters):

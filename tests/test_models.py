@@ -122,6 +122,8 @@ class TestPureSVD:
         for hist in ([0], [1, 4], [2, 3, 0]):
             assert np.allclose(a.score_history(hist), b.score_history(hist),
                                atol=1e-12)
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            dataclasses.replace(a, regime="bogus").score_history([0])
 
     def test_rank_too_large(self):
         log = make_log([(0, 0, 0), (1, 1, 1)], 2, 3)
@@ -903,6 +905,8 @@ class TestLocalTrainer:
             train_lasatf(tensor, window=4, f=0.0, ranks=(2, 2, 1, 1))
         with pytest.raises(ValueError, match="infeasible"):
             train_lasatf(tensor, window=2, f=0.0, ranks=(2, 2, 1, 3))
+        with pytest.raises(ValueError, match="attention size must equal the window size"):
+            LocalAttentionTrainer(tensor, 2, build_attention(3), (2, 2, 1, 1))
 
     @pytest.mark.parametrize("train", [
         lambda tensor: train_lasatf(tensor, window=2, f=0.0, ranks=(3, 1, 1, 1)),
@@ -1189,16 +1193,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="m.npz is not a readable model file"):
             load_model(path)
 
-    @pytest.mark.parametrize("layout", ["no meta", "version 1"])
-    def test_foreign_layout_is_value_error_naming_it(self, tmp_path, layout):
+    @pytest.mark.parametrize("layout, reason", [
+        ("no meta", ""), ("version 1", ""), ("unknown kind", ": unknown model kind 'stub'"),
+    ], ids=["no meta", "version 1", "unknown kind"])
+    def test_foreign_layout_is_value_error_naming_it(self, tmp_path, layout, reason):
         path = tmp_path / "m.npz"
         if layout == "no meta":
             np.savez(path, counts=np.ones(3))
+        elif layout == "unknown kind":
+            # save_model refuses the kind, and load_model a file that names it
+            with pytest.raises(ValueError, match="unknown model kind 'stub'"):
+                save_model(_StubModel(np.zeros(3)), path)
+            np.savez(path, meta=np.array(json.dumps({
+                "kind": "stub", "version": seqrec.models.MODEL_FORMAT_VERSION, "s": 1.0})),
+                d=np.ones(3))
         else:
             # the layout of format version 1: JSON params, not meta
             np.savez(path, params=np.array(json.dumps({"kind": "mp", "version": 1})),
                      counts=np.ones(3))
-        with pytest.raises(ValueError, match=re.escape(f"{path} is not a readable model file")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is not a readable model file{reason}")):
             load_model(path)
 
 
