@@ -307,12 +307,8 @@ def ingest_log(path, delimiter=",", user_col="user", item_col="item",
 
 def _densify(log, user_keep, item_keep):
     """Re-densify index maps after dropping users/items (order-preserving)."""
-    old_users = np.flatnonzero(user_keep)
-    old_items = np.flatnonzero(item_keep)
-    user_remap = -np.ones(log.n_users, dtype=np.int64)
-    item_remap = -np.ones(log.n_items, dtype=np.int64)
-    user_remap[old_users] = np.arange(len(old_users))
-    item_remap[old_items] = np.arange(len(old_items))
+    user_remap = np.cumsum(user_keep, dtype=np.int64) - 1  # rank among the kept
+    item_remap = np.cumsum(item_keep, dtype=np.int64) - 1
     mask = user_keep[log.users] & item_keep[log.items]
     user_map = {k: int(user_remap[v]) for k, v in log.user_map.items() if user_keep[v]}
     item_map = {k: int(item_remap[v]) for k, v in log.item_map.items() if item_keep[v]}
@@ -322,8 +318,8 @@ def _densify(log, user_keep, item_keep):
         timestamps=log.timestamps[mask],
         user_map=user_map,
         item_map=item_map,
-        n_users=len(old_users),
-        n_items=len(old_items),
+        n_users=int(user_keep.sum()),
+        n_items=int(item_keep.sum()),
     )
 
 

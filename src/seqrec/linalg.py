@@ -266,7 +266,8 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     """Dominant left singular subspace of an implicit operator.
 
     Returns (U, s) with column-orthonormal U of shape (rows, r) and the leading
-    singular values. Unless ``exact``, one rule picks the solve: a Gram
+    singular values; an r that is not an integer in [1, min(rows, cols)]
+    raises ValueError. Unless ``exact``, one rule picks the solve: a Gram
     eigensolve exactly when what it holds, the Gram and, for an operator
     without ``gram``, its materialized matrix, is no larger than the Lanczos
     bases of PROPACK's first run (``_gram_fits``), else PROPACK, seeded by ``seed``.
@@ -296,8 +297,8 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     A solve that raises leaves its path, applies, retries and seconds.
     """
     rows, cols = y.shape
-    if r > min(rows, cols):
-        raise ValueError(f"rank {r} exceeds min dimension {min(rows, cols)}")
+    if not (isinstance(r, (int, np.integer)) and 1 <= r <= min(rows, cols)):
+        raise ValueError(f"rank {r} is not an integer in [1, min dimension {min(rows, cols)}]")
     start = time.perf_counter()
     record = {} if record is None else record
     record.update(shape=(rows, cols), path=None, retries=0, misses=0, printed=[],

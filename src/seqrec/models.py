@@ -15,7 +15,6 @@ from .linalg import ImplicitMatrix, _gram_pairs, _shift_stack, skew_block_cache,
 __all__ = [
     "ColdUserError",
     "ScalingDiag",
-    "build_scaling",
     "MPModel",
     "SVDModel",
     "GlobalAttentionModel",
@@ -26,7 +25,6 @@ __all__ = [
     "train_puresvd",
     "train_gasatf",
     "train_lasatf",
-    "la_mode_operator",
     "predict_next",
     "save_model",
     "load_model",
@@ -225,10 +223,7 @@ def _item_spectrum(users, items, shape, d, r, seed, exact=False):
                         rmatvec=lambda z: x_and_view()[0] @ z)
 
     def dense():  # one n x m array, with no n x m count array beside it
-        cells, counts = np.unique(items * m + users, return_counts=True)
-        out = np.zeros(n * m)
-        out[cells] = counts * d[cells // m]
-        return out.reshape(n, m)
+        return np.bincount(items * m + users, weights=d[items], minlength=n * m).reshape(n, m)
 
     op.dense = dense
     if r > m:
@@ -241,7 +236,7 @@ def train_puresvd(train, r, s=1.0, seed=0):
     """Top-r right singular vectors of the popularity-scaled binary matrix,
     scored in the plain regime (``dataclasses.replace`` sets another)."""
     m, n = train.n_users, train.n_items
-    if r > min(m, n):
+    if not (isinstance(r, (int, np.integer)) and 1 <= r <= min(m, n)):
         raise ValueError(f"rank {r} infeasible for a {m} x {n} matrix")
     scaling = build_scaling(train.item_counts(), s, neutral_missing=True)
     v = _item_spectrum(train.users, train.items, (m, n), scaling.d, r, seed)
@@ -465,8 +460,8 @@ def _newest_slots(size, r):
 
 
 def feasible_ranks(dims, ranks):
-    """Tucker ranks fit dims: each r ≤ its mode's size and the others' product (r² ≤ Π)."""
-    return all(r <= d and r * r <= math.prod(ranks) for r, d in zip(ranks, dims))
+    """Tucker ranks fit dims: each 1 ≤ r ≤ its mode's size and the others' product (r² ≤ Π)."""
+    return all(1 <= r <= d and r * r <= math.prod(ranks) for r, d in zip(ranks, dims))
 
 
 class LocalAttentionTrainer:

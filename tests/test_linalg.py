@@ -123,10 +123,17 @@ class TestTruncatedSvd:
         u, _ = truncated_svd(_implicit_from_dense(a), 4, seed=0)
         assert np.abs(u.T @ u - np.eye(4)).max() < 1e-10
 
-    def test_rank_too_large(self):
+    def test_rank_too_large(self, monkeypatch):
+        # and ranks below 1 or not integers, on the Gram, exact and PROPACK paths
         y = _implicit_from_dense(np.eye(4))
-        with pytest.raises(ValueError):
-            truncated_svd(y, 5)
+        for r, exact in ((5, False), (-1, False), (0, False), (2.0, False),
+                         (-1, True), (0, True), (2.0, True)):
+            with pytest.raises(ValueError, match=f"^rank {r} "):
+                truncated_svd(y, r, exact=exact)
+        propack_first(monkeypatch)
+        for r in (-1, 0, 2.0):
+            with pytest.raises(ValueError, match=f"^rank {r} "):
+                truncated_svd(y, r)
 
     def test_exact_flag_matches_iterative(self, monkeypatch):
         propack_first(monkeypatch)

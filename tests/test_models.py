@@ -126,9 +126,11 @@ class TestPureSVD:
             dataclasses.replace(a, regime="bogus").score_history([0])
 
     def test_rank_too_large(self):
+        # and ranks below 1 or not integers
         log = make_log([(0, 0, 0), (1, 1, 1)], 2, 3)
-        with pytest.raises(ValueError, match="rank"):
-            train_puresvd(log, r=3)
+        for r in (3, -1, 0, 2.0):
+            with pytest.raises(ValueError, match=f"rank {r} infeasible"):
+                train_puresvd(log, r=r)
 
     @pytest.mark.parametrize("s", [0.0, 0.4])
     def test_iterative_path_matches_dense_projector(self, monkeypatch, s):
@@ -825,16 +827,35 @@ class TestLocalTrainer:
         for name in ("u", "v", "w_l", "w_s"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
 
-    def test_start_is_the_user_item_spectrum_and_the_newest_slots(self):
-        tensor = random_tensor(12, 9, 6, seed=9, min_len=2)
-        tr = LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2), s=0.5)
-        x = np.zeros((12, 9))
-        np.add.at(x, (tensor.users, tensor.items), 1.0)
-        u, sigma, _ = np.linalg.svd(tr.scaling.d[:, None] * x.T)
-        assert sigma[2] > 1.01 * sigma[3]
-        assert np.abs(tr.v @ tr.v.T - u[:, :3] @ u[:, :3].T).max() < 1e-8
-        assert np.array_equal(tr.w_l, [[0, 0], [0, 1], [1, 0]])
-        assert np.array_equal(tr.w_s, [[0, 0], [0, 0], [0, 1], [1, 0]])
+    def test_start_is_the_user_item_spectrum_and_the_newest_slots(self, monkeypatch):
+        built = []
+        solve = seqrec.models.truncated_svd
+        monkeypatch.setattr(seqrec.models, "truncated_svd", lambda op, *args, **kwargs:
+                            built.append(op.dense()) or solve(op, *args, **kwargs))
+        # the second tensor gives each user 1 to 4 copies of two items within
+        # its K = 6 positions, and D X^T counts each copy
+        rng = np.random.default_rng(4)
+        first = rng.integers(1, 5, size=12)
+        copies = np.column_stack((first, rng.integers(1, np.minimum(5, 7 - first))))
+        pairs = np.array([rng.choice(9, size=2, replace=False) for _ in range(12)])
+        lengths = copies.sum(axis=1)
+        repeated = SparsePositionalTensor(
+            users=np.repeat(np.arange(12), lengths),
+            items=np.repeat(pairs.ravel(), copies.ravel()),
+            positions=np.concatenate([np.arange(7 - n, 7) for n in lengths]), shape=(12, 9, 6))
+        for tensor in (random_tensor(12, 9, 6, seed=9, min_len=2), repeated):
+            tr = LocalAttentionTrainer(tensor, 3, build_attention(3, f=0.5), (4, 3, 2, 2),
+                                       s=0.5)
+            x = np.zeros((12, 9))
+            np.add.at(x, (tensor.users, tensor.items), 1.0)
+            dx = tr.scaling.d[:, None] * x.T
+            assert np.abs(built[-1] - dx).max() <= 1e-15 * np.abs(dx).max()
+            u, sigma, _ = np.linalg.svd(dx)
+            assert sigma[2] > 1.01 * sigma[3]
+            assert np.abs(tr.v @ tr.v.T - u[:, :3] @ u[:, :3].T).max() < 1e-8
+            assert np.array_equal(tr.w_l, [[0, 0], [0, 1], [1, 0]])
+            assert np.array_equal(tr.w_s, [[0, 0], [0, 0], [0, 1], [1, 0]])
+        assert x.max() == 4
 
     def test_seed_reaches_no_eigensolve_sweep(self):
         # every solve of this small tensor is an eigensolve and the start draws
@@ -903,8 +924,9 @@ class TestLocalTrainer:
         tensor = random_tensor(4, 4, 3, seed=0)
         with pytest.raises(ValueError, match="window"):
             train_lasatf(tensor, window=4, f=0.0, ranks=(2, 2, 1, 1))
-        with pytest.raises(ValueError, match="infeasible"):
-            train_lasatf(tensor, window=2, f=0.0, ranks=(2, 2, 1, 3))
+        for ranks in ((2, 2, 1, 3), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="infeasible"):
+                train_lasatf(tensor, window=2, f=0.0, ranks=ranks)
         with pytest.raises(ValueError, match="attention size must equal the window size"):
             LocalAttentionTrainer(tensor, 2, build_attention(3), (2, 2, 1, 1))
 
