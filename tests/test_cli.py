@@ -24,7 +24,8 @@ from seqrec.cli import PRESETS, load_config, main
 from seqrec.data import build_positional_tensor, ingest_log, load_split
 from seqrec.evaluation import evaluate
 from seqrec.linalg import ConvergenceError
-from seqrec.models import load_model, save_model, train_gasatf, train_lasatf, train_puresvd
+from seqrec.models import (ScalingDiag, SVDModel, load_model, save_model, train_gasatf,
+                           train_lasatf, train_puresvd)
 
 TOY_ROWS = [
     (0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
@@ -847,7 +848,8 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
     # plain np.unique call, or numpy.random, since HOOI starts without a draw;
     # numpy 1.x imports both with numpy itself. A bare `import seqrec` imports
     # none of its modules. K = 40 takes the long-window paths, and at window 1
-    # the window mode has one row, so every rank is 1.
+    # the window mode has one row, so every rank is 1. A 1400 x 100 PureSVD
+    # model is served from predict_next's float32 screen.
     grid = {"r1": [2], "r2": [2], "f": [0.5], "s": [0.2], "regime": ["plain"]}
     local = {"kind": "local", "window_values": [2], "grid": {**grid, "r3": [1], "r4": [1]}}
     configs = {"global": ({"kind": "global", "grid": grid}, 3), "local": (local, 3),
@@ -865,7 +867,11 @@ def test_prepare_and_serving_load_no_scipy(tmp_path):
     tensor = build_positional_tensor(train, 3)
     models = {"svd": dataclasses.replace(train_puresvd(train, r=1, s=0.5), regime="restored"),
               "global": train_gasatf(tensor, f=0.5, ranks=(1, 1, 1), sweeps=1),
-              "local": train_lasatf(tensor, window=2, f=0.5, ranks=(1, 1, 1, 1), sweeps=1)}
+              "local": train_lasatf(tensor, window=2, f=0.5, ranks=(1, 1, 1, 1), sweeps=1),
+              "svd-screened": SVDModel(
+                  v=np.linalg.qr(np.random.default_rng(0).standard_normal((1400, 100)))[0],
+                  scaling=ScalingDiag(d=np.full(1400, 0.5), s=0.0), regime="restored")}
+    assert models["svd-screened"].v.size >= seqrec.models.SCREEN_MIN_ENTRIES
     for kind, model in models.items():
         save_model(model, tmp_path / f"{kind}.npz")
     src = str(Path(seqrec.cli.__file__).parents[1])

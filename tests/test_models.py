@@ -29,7 +29,10 @@ from seqrec.linalg import ImplicitMatrix, random_orthonormal, skew_block_cache
 from seqrec.models import (
     ColdUserError,
     GlobalAttentionTrainer,
+    LocalAttentionModel,
     LocalAttentionTrainer,
+    ScalingDiag,
+    SVDModel,
     build_scaling,
     ga_mode_operator,
     la_mode_operator,
@@ -1041,6 +1044,18 @@ class _StubModel:
         return self.scores.copy()
 
 
+def _factor_model(kind, v, d, regime):
+    """A PureSVD or windowed model over the given V and scaling diagonal: the
+    windowed one has window 3, three offsets and fixed attention factors."""
+    scaling = ScalingDiag(d=np.asarray(d, dtype=float), s=0.5)
+    if kind == "svd":
+        return SVDModel(v=v, scaling=scaling, regime=regime)
+    w = np.array([[1.0, 0.5], [0.5, -1.0], [0.25, 0.5]])
+    return LocalAttentionModel(v=v, w_l=w, w_l_hat=w[::-1].copy(), w_s=np.abs(w),
+                               attention=build_attention(3, f=0.5), scaling=scaling,
+                               regime=regime, ranks=(2, v.shape[1], 2, 2), max_position=5)
+
+
 class TestPredictNext:
     def test_tie_broken_by_index(self):
         stub = _StubModel(np.array([0.1, 0.9, 0.5, 0.9]))
@@ -1060,6 +1075,106 @@ class TestPredictNext:
         stub = _StubModel(np.array([1.0, 2.0]))
         with pytest.raises(ColdUserError):
             predict_next(stub, [7, -3], 1)
+
+    @pytest.mark.parametrize("history, entry", [
+        ([1.7], "1.7"), ([True], "True"), (["2"], "'2'"), ([0, 2.0], "2.0"),
+        ([0, "a"], "'a'"), ([np.False_], "False"), (np.array([0.0, 1.5]), "0.0")])
+    def test_non_integer_ids_rejected(self, history, entry):
+        stub = _StubModel(np.array([0.1, 0.9, 0.5]))
+        with pytest.raises(ValueError, match=f"history entry .*{re.escape(entry)}") as err:
+            predict_next(stub, history, 2)
+        assert not isinstance(err.value, ColdUserError)
+
+    @pytest.mark.parametrize("history", [
+        [np.int32(1), 2], np.array([1, 2], dtype=np.uint8), np.array([[1, 2]]).ravel(),
+        (i for i in (1, 2)), [np.int64(1), 2, 7]])
+    def test_integer_ids_accepted(self, history):
+        stub = _StubModel(np.array([0.1, 0.9, 0.5, 0.7]))
+        assert predict_next(stub, history, 2).tolist() == [3, 0]
+
+    @pytest.mark.parametrize("history", [[], np.array([]), np.array([], dtype=np.int8)])
+    def test_empty_history_is_cold(self, history):
+        with pytest.raises(ColdUserError):
+            predict_next(_StubModel(np.array([1.0, 2.0])), history, 1)
+
+    def test_screen_rescores_an_order_float32_reverses(self, monkeypatch):
+        # In float64 item 1 scores 3 * 2**-26 and item 2 scores 2**-27. Item
+        # 1's first entry rounds to 1 in float32, which screens it at 0, below
+        # item 2: only the float64 rescore of the candidates puts it first.
+        v = np.array([[1.0, -1.0], [1 + 3 * 2.0**-26, 1.0], [2.0**-27, 0.0]])
+        for kind in ("svd", "local"):
+            model = _factor_model(kind, v, np.ones(3), "plain")
+            assert predict_next(model, [0], 1).tolist() == [1]
+            # below SCREEN_MIN_ENTRIES no float32 copy of V is made
+            assert "_screen" not in model.__dict__
+        model = _factor_model("svd", v, np.ones(3), "plain")
+        monkeypatch.setattr(seqrec.models, "SCREEN_MIN_ENTRIES", 0)
+        assert predict_next(model, [0], 1).tolist() == [1]
+        assert "_screen" in model.__dict__
+
+    def test_screen_is_not_taken_where_float32_underflows(self, monkeypatch):
+        # Item 1 scores 0.57 * 2**-149 above item 2, but both screen on
+        # float32's subnormal grid of 2**-149, where item 2 rounds above item
+        # 1, far outside the relative bound. Restored, item 0 projects to
+        # h = [1, 1] and beta is about 2**-139.5; plain, h is [2**-140] * 2.
+        tiny, grid = 2.0**-140, 2.0**-149
+        v = np.array([[tiny, tiny], [tiny + 0.49 * grid, tiny + 0.49 * grid],
+                      [tiny + 0.51 * grid, tiny - 0.1 * grid]])
+        monkeypatch.setattr(seqrec.models, "SCREEN_MIN_ENTRIES", 0)
+        model = _factor_model("svd", v, [2.0**140, 1.0, 1.0], "restored")
+        assert predict_next(model, [0], 1).tolist() == [1]
+        assert model._screen is None
+        model = _factor_model("svd", np.vstack([v[:1], v[1:] / tiny]), np.ones(3), "plain")
+        assert predict_next(model, [0], 1).tolist() == [1]
+
+    def test_screen_keeps_the_catalog_rounding_of_equal_rows(self, monkeypatch):
+        # Rows 0, 1 and 100 are equal, so items 0 and 100 tie exactly after
+        # item 1, but the catalog product may round them apart in the last
+        # bit (OpenBLAS takes row 100, left over from its 4-row blocks,
+        # through another kernel), unlike a product over their gathered rows.
+        monkeypatch.setattr(seqrec.models, "SCREEN_MIN_ENTRIES", 0)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            v = rng.standard_normal((101, 100)) * 0.1
+            v[0] = v[1] = v[100] = rng.standard_normal(100)
+            model = _factor_model("svd", v, np.ones(101), "plain")
+            full = model.score_history([1])
+            full[1] = -np.inf
+            expected = np.lexsort((np.arange(101), -full))[:2]
+            assert predict_next(model, [1], 2).tolist() == expected.tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["svd", "local"]),
+           regime=st.sampled_from(["plain", "restored"]), exclude_seen=st.booleans(),
+           n_items=st.integers(1, 30), r=st.integers(1, 5), small_ints=st.booleans())
+    def test_screen_matches_full_lexsort(self, data, kind, regime, exclude_seen, n_items, r,
+                                         small_ints):
+        # Small-integer V (and d a power of two) score exactly, so exact ties
+        # must come back in index order; the near-1 entries round to 1 in
+        # float32, so the screen misorders what float64 tells apart.
+        entries = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+        if not small_ints:
+            entries = entries | st.sampled_from([1 + 2.0**-26, 1 - 3 * 2.0**-26, 2.0**-27]) | (
+                st.floats(-2, 2, allow_nan=False))
+        v = np.array(data.draw(st.lists(entries, min_size=n_items * r, max_size=n_items * r)))
+        d = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) if small_ints
+                               else st.floats(0.1, 10), min_size=n_items, max_size=n_items))
+        model = _factor_model(kind, v.reshape(n_items, r), d, regime)
+        history = data.draw(st.lists(st.integers(-2, n_items + 1), min_size=1, max_size=8))
+        n = data.draw(st.integers(1, n_items + 3))
+        known = [i for i in history if 0 <= i < n_items]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seqrec.models, "SCREEN_MIN_ENTRIES", 0)
+            if not known:
+                with pytest.raises(ColdUserError):
+                    predict_next(model, history, n, exclude_seen=exclude_seen)
+                return
+            got = predict_next(model, history, n, exclude_seen=exclude_seen)
+        full = model.score_history(known)
+        if exclude_seen:
+            full[known] = -np.inf
+        assert got.tolist() == np.lexsort((np.arange(n_items), -full))[:n].tolist()
+        assert "_screen" in model.__dict__
 
     def test_bad_cutoff(self):
         stub = _StubModel(np.array([1.0, 2.0]))
