@@ -58,13 +58,13 @@ def _se(values):
 
 
 # Memory of one score block's scores and their selection indices, 16 bytes
-# per (event, item): 21 rows at 3000 items, 327 at 200. The budget does not
-# count what a block's projection holds besides: GA/LA a (K - 1) x rows cell
-# index and rows x r projections, PureSVD each history's gathered rows of V
-# (about 33 x 100 doubles per row on svd-230k, 0.55 MB per 21-row block).
-# Larger blocks were faster on a 3000-item catalog (8 MiB of scores: 0.10 s
-# against 0.14 s per 2000 events on 2 cores), but a 200-item walk then fit in
-# one block and its run peaked 3.3 MB (5 %) higher.
+# per (event, item): 21 rows at 3000 items, 327 at 200. Each history is
+# projected on its own by the model's _projection, so a block holds besides
+# only its rows x r projections and one history's gathered rows of V, and its
+# scores lie within 2 tau64 of predict_next's (_block_scorer). Larger blocks
+# were faster on a 3000-item catalog (8 MiB of scores: 0.10 s against 0.14 s
+# per 2000 events on 2 cores), but a 200-item walk then fit in one block and
+# its run peaked 3.3 MB (5 %) higher.
 BLOCK_BYTES = 1 << 20
 
 
@@ -114,8 +114,8 @@ def _top_n(scores, tau, n):
 
 
 def _rank_block(model, score, flat, starts, ends, n):
-    """Top-n lists of a block of warm events: one projection for the block,
-    and :func:`predict_next` for each row the block's rounding could reorder."""
+    """Top-n lists of a block of warm events: one product for the block, and
+    :func:`predict_next` for each row the block's rounding could reorder."""
     lengths = ends - starts
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     items = flat[np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])]

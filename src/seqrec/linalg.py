@@ -297,7 +297,8 @@ def truncated_svd(y, r, seed=0, exact=False, record=None):
     A solve that raises leaves its path, applies, retries and seconds.
     """
     rows, cols = y.shape
-    if not (isinstance(r, (int, np.integer)) and 1 <= r <= min(rows, cols)):
+    if isinstance(r, bool) or not (isinstance(r, (int, np.integer))
+                                   and 1 <= r <= min(rows, cols)):
         raise ValueError(f"rank {r} is not an integer in [1, min dimension {min(rows, cols)}]")
     start = time.perf_counter()
     record = {} if record is None else record

@@ -91,75 +91,29 @@ def _gamma(k, unit):
 def _block_scorer(model):
     """Scoring for blocks of histories: returns ``score(items, indptr)``,
     which gives the catalog scores of the block, one row per history, and per
-    row a bound ``tau`` on how far a row may lie from ``score_history``'s.
+    row a bound ``tau`` on how far a row may lie from the float64 scores
+    :func:`predict_next` ranks the same history by.
 
     History b is ``items[indptr[b]:indptr[b + 1]]``, oldest first, not empty
-    and all inside the catalog. Each row gets the weights ``score_history``
-    projects: PureSVD gives each distinct item 1, the attention models give
-    the K - 1 most recent items the position profile tail, and popularity's
-    row is its counts, so its bound is 0. The block is projected as
-    ``(H V) V^T`` (times ``D^-1`` and with ``d`` in ``H`` when restored):
-    PureSVD sums each history's gathered rows of V, and the attention models
-    add ``profile[p] V[cells[p]]`` over the K - 1 positions p into rows x r
-    projections. Each side rounds at most r + m + 2 times along one score,
-    whatever the order of its m terms (len, or min(len, K - 1); a zero row
-    adds an exact 0), so both stay within ``gamma_k |V| |V|^T |h|`` of exact
-    arithmetic for k = r + 2 m + 3 (:func:`_gamma`), and ``tau`` sums the
-    two bounds, taking ``max_j |V_j| |V_i| <= max_j ||V_j|| ||V_i||``. A
-    model without a block form gets an infinite bound, which sends every row
-    to ``predict_next``.
+    and all inside the catalog. A factor model projects each history with
+    its own ``_projection``, the call ``predict_next`` makes. Equal operands
+    of equal layout give equal bits (as a model and its saved copy score
+    alike), so the two share each h, and only the product with V differs:
+    the block's ``H V^T`` (over d when restored) and ``predict_next``'s
+    ``V h`` each lie within :meth:`_FactorModel._tau64` of the exact scores
+    of h, and ``tau`` is twice it. Any other model's rows are its
+    ``score_history`` rows, with a bound of 0.
     """
-    kind = getattr(model, "kind", None)
-    if kind not in ("mp", "svd", "global", "local"):
-        return lambda items, indptr: (np.zeros((len(indptr) - 1, model.n_items)),
-                                      np.full(len(indptr) - 1, np.inf))
-    if kind == "mp":
-        counts = model.counts.astype(float)
-        return lambda items, indptr: (np.tile(counts, (len(indptr) - 1, 1)),
-                                      np.zeros(len(indptr) - 1))
-    if model.regime not in ("plain", "restored"):
-        raise ValueError(f"unknown regime {model.regime!r}")
-    v = np.ascontiguousarray(model.v)
-    r = v.shape[1]
-    d = model.scaling.d if model.regime == "restored" else None
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-    # tau per unit of gamma_k and of sum_i |h_i| ||V_i||
-    scale = 2 * norms.max() * ((1 / d).max() if d is not None else 1.0)
-    unit = np.finfo(float).eps / 2
-    # Restored H holds d_j w, so d_j goes into item j's row of V and its norm
-    # once. The appended zero row takes the entries a history does not score.
-    v_h = np.vstack([v * d[:, None] if d is not None else v, np.zeros(r)])
-    norms_h = np.append(norms * d if d is not None else norms, 0.0)
-
     def score(items, indptr):
-        lengths = np.diff(indptr)
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        if kind == "svd":
-            # the user's binary row: a repeated item counts once, so each
-            # repeat is sent to the zero row. Rows are consecutive, so sorting
-            # the keys moves no entry to another row.
-            keys = np.sort(rows * model.n_items + items)
-            items = keys - rows * model.n_items
-            items[1:][keys[1:] == keys[:-1]] = model.n_items
-            hv = np.add.reduceat(v_h.take(items, axis=0), indptr[:-1], axis=0)
-            h_norms = np.bincount(rows, weights=norms_h[items], minlength=len(lengths))
-        else:
-            # cells[p, b]: the item at profile position p of history b, or the
-            # zero row where the history is shorter than the profile
-            profile = model.position_profile
-            slot = np.arange(len(items)) - np.repeat(indptr[1:] - len(profile), lengths)
-            kept = slot >= 0
-            cells = np.full((len(profile), len(lengths)), model.n_items)
-            cells[slot[kept], rows[kept]] = items[kept]
-            lengths = np.minimum(lengths, len(profile))
-            hv = np.zeros((len(lengths), r))
-            for weight, cell in zip(profile, cells):
-                hv += weight * v_h.take(cell, axis=0)
-            h_norms = np.abs(profile) @ norms_h[cells]
-        scores = hv @ v.T
-        if d is not None:
-            scores /= d
-        return scores, _gamma(r + 2 * lengths + 3, unit) * scale * h_norms
+        histories = [items[lo:hi] for lo, hi in zip(indptr[:-1], indptr[1:])]
+        if not isinstance(model, _FactorModel):
+            rows = [model.score_history(history) for history in histories]
+            return np.array(rows, dtype=float), np.zeros(len(rows))
+        h = np.array([model._projection(history) for history in histories])
+        scores = h @ model.v.T
+        if model.regime == "restored":
+            scores /= model.scaling.d
+        return scores, 2 * model._tau64(np.sqrt(np.einsum("ij,ij->i", h, h)))
 
     return score
 
@@ -215,13 +169,28 @@ class _FactorModel:
         return self._scores(self._projection(history))
 
     @cached_property
+    def _beta(self):
+        """The largest norm of a row of V, over its d when restored."""
+        norms = np.sqrt(np.einsum("ij,ij->i", self.v, self.v))
+        return float((norms / self.scaling.d if self.regime == "restored" else norms).max())
+
+    def _tau64(self, norm):
+        """``gamma_{r+2} beta ||h||`` at float64's unit roundoff 2^-53, for
+        projections h of norm ``norm``: how far a float64 score of h, from any
+        product with V, lies from its exact score. A score rounds at most
+        r + 1 times (r terms and, when restored, the division by d), and
+        ``sum_i |V_ji| |h_i| / d_j <= beta ||h||`` (:func:`_gamma`); k one
+        higher leaves room for the rounding of beta, the norm and the bound.
+        The bound is relative: it holds where nothing underflows."""
+        return _gamma(self.v.shape[1] + 2, 2.0 ** -53) * self._beta * norm
+
+    @cached_property
     def _screen(self):
         """``predict_next``'s float32 copy of V, with ``D^-1`` folded in when
-        restored, and the largest norm of its rows in float64, beta; None
-        outside the range of beta that :func:`_screened_top` bounds."""
+        restored; None outside the range of beta that :func:`_screened_top`
+        bounds."""
         v = self.v / self.scaling.d[:, None] if self.regime == "restored" else self.v
-        beta = float(np.sqrt(np.einsum("ij,ij->i", v, v)).max())
-        return (v.astype(np.float32), beta) if 2.0 ** -40 <= beta <= 2.0 ** 40 else None
+        return v.astype(np.float32) if 2.0 ** -40 <= self._beta <= 2.0 ** 40 else None
 
 
 @dataclass(frozen=True)
@@ -279,7 +248,7 @@ def train_puresvd(train, r, s=1.0, seed=0):
     """Top-r right singular vectors of the popularity-scaled binary matrix,
     scored in the plain regime (``dataclasses.replace`` sets another)."""
     m, n = train.n_users, train.n_items
-    if not (isinstance(r, (int, np.integer)) and 1 <= r <= min(m, n)):
+    if isinstance(r, bool) or not (isinstance(r, (int, np.integer)) and 1 <= r <= min(m, n)):
         raise ValueError(f"rank {r} infeasible for a {m} x {n} matrix")
     scaling = build_scaling(train.item_counts(), s, neutral_missing=True)
     v = _item_spectrum(train.users, train.items, (m, n), scaling.d, r, seed)
@@ -657,19 +626,19 @@ def _screened_top(model, h, seen, n):
 
     The screen scores the catalog with ``_screen``'s float32 V and h rounded
     to float32. Each screened score rounds r + 3 times (V's entries, over d
-    when restored, h's entries and r terms of the product) and each float64
-    score r + 1 times (r terms and, when restored, the division by d). By
-    :func:`_gamma` they lie within ``gamma32_{r+3} beta ||h||`` and
-    ``gamma64_{r+1} beta ||h||`` of the exact score; ``tau64`` and ``tau``,
-    the sum of both, take k one higher, which leaves room for the rounding
-    of the bounds and of the cutoff. Every item of the float64 top n then
-    screens at least ``c - 2 tau``, where c is the n-th highest screened
-    score, and those candidates are rescored in float64. A product over
-    gathered rows of V may round unlike the catalog's (OpenBLAS takes the
-    rows left over from its 4-row blocks through another kernel), so a
-    rescored score lies within ``2 tau64`` of ``_scores(h)``'s, and the
-    candidates' top n + 1 must each be more than ``4 tau64`` apart to keep
-    their order. A tie never is.
+    when restored, h's entries and r terms of the product), so by
+    :func:`_gamma` it lies within ``gamma32_{r+3} beta ||h||`` of the exact
+    score, and a float64 score within ``tau64`` (:meth:`_FactorModel._tau64`).
+    ``tau``, the sum of both, takes the float32 term's k one higher, as
+    ``tau64`` does, which leaves room for the rounding of the bounds and of
+    the cutoff. Every item of the float64 top n then screens at least
+    ``c - 2 tau``, where c is the n-th highest screened score, and those
+    candidates are rescored in float64. A product over gathered rows of V
+    may round unlike the catalog's (OpenBLAS takes the rows left over from
+    its 4-row blocks through another kernel), so a rescored score lies
+    within ``2 tau64`` of ``_scores(h)``'s, and the candidates' top n + 1
+    must each be more than ``4 tau64`` apart to keep their order. A tie
+    never is.
 
     The relative bounds hold where nothing overflows or underflows. With
     beta and ``||h||`` in [2^-40, 2^40], float32 never overflows, and an
@@ -680,18 +649,16 @@ def _screened_top(model, h, seen, n):
     norm = math.sqrt(h.dot(h))
     if model._screen is None or not 2.0 ** -40 <= norm <= 2.0 ** 40:
         return None
-    v32, beta = model._screen
-    scores = v32.dot(h.astype(np.float32)).astype(float)
+    scores = model._screen.dot(h.astype(np.float32)).astype(float)
     if seen is not None:
         scores[seen] = -np.inf
     kth = max(len(scores) - n, 0)
     cutoff = np.partition(scores, kth)[kth]
     if not math.isfinite(cutoff):  # fewer than n unseen items
         return None
-    size = beta * norm
-    # 2 ** -53 and 2 ** -24 are the unit roundoffs of float64 and float32
-    tau64 = _gamma(len(h) + 2, 2.0 ** -53) * size
-    tau = _gamma(len(h) + 4, 2.0 ** -24) * size + tau64
+    tau64 = model._tau64(norm)
+    # 2 ** -24 is float32's unit roundoff
+    tau = _gamma(len(h) + 4, 2.0 ** -24) * model._beta * norm + tau64
     candidates = (scores >= cutoff - 2 * tau).nonzero()[0]
     exact = model._scores(h, candidates)
     order = (-exact).argsort(kind="stable")
@@ -713,9 +680,14 @@ def predict_next(model, history, n, exclude_seen=True):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries = list(history)
-    hist = np.asarray(entries)
-    if hist.dtype.kind not in "iu":
+    if isinstance(history, np.ndarray):
+        entries = hist = history
+    else:
+        entries = list(history)
+        hist = np.asarray(entries)
+    # NumPy reads a bool among ints as 0 or 1, so a list that may hold one is scanned
+    if hist.dtype.kind not in "iu" or (entries is not hist and min(entries) <= 1 and not
+                                       {bool, np.bool_}.isdisjoint(map(type, entries))):
         for entry in entries:
             if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):
                 raise ValueError(f"history entry {entry!r} is not an integer item index")

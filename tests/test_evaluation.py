@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqrec.evaluation
 from helpers import make_log
@@ -23,6 +25,7 @@ from seqrec.linalg import random_orthonormal
 from seqrec.models import (
     GlobalAttentionModel,
     LocalAttentionModel,
+    ScalingDiag,
     SVDModel,
     build_scaling,
     predict_next,
@@ -195,6 +198,23 @@ def _attention_model(kind, regime, k, n_items, r2):
         ranks=(5, r2, 4) if kind == "global" else (5, r2, 4, 3), max_position=k)
 
 
+def _drawn_factor_model(kind, regime, k, n_items, r, rng):
+    """A PureSVD, GA or LA model over Gaussian factors with K = k, whose
+    scaling diagonal spreads over 1e-3 to 1e3."""
+    scaling = ScalingDiag(d=10.0 ** rng.uniform(-3, 3, n_items), s=0.5)
+    v = rng.standard_normal((n_items, r))
+    if kind == "svd":
+        return SVDModel(v=v, scaling=scaling, regime=regime)
+    window = k if kind == "global" else int(rng.integers(1, k + 1))
+    att = build_attention(window, f=0.5)
+    w_l = rng.standard_normal((window, 2))
+    w_s = np.ones((1, 1)) if kind == "global" else rng.standard_normal((k - window + 1, 2))
+    return (GlobalAttentionModel if kind == "global" else LocalAttentionModel)(
+        v=v, w_l=w_l, w_l_hat=triangular_restore(att, w_l), w_s=w_s, attention=att,
+        scaling=scaling, regime=regime, ranks=(2, r, 2) if kind == "global" else (2, r, 2, 2),
+        max_position=k)
+
+
 class TestBatchedWalk:
     """The block walk against the per-event reference walk in ``oracles``."""
 
@@ -288,6 +308,54 @@ class TestBatchedWalk:
         top = seqrec.evaluation._rank_block(model, score, items, indptr[:-1], indptr[1:], 3)
         for row, history in enumerate(histories):
             assert top[row].tolist() == predict_next(model, history, 3).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["svd", "global", "local"]),
+           regime=st.sampled_from(["plain", "restored"]), k=st.integers(1, 12),
+           n_items=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_block_scores_lie_within_tau_of_the_history_scores(self, data, kind, regime, k,
+                                                                n_items, seed):
+        rng = np.random.default_rng(seed)
+        model = _drawn_factor_model(kind, regime, k, n_items, data.draw(st.integers(1, 8)), rng)
+        histories = data.draw(st.lists(st.lists(st.integers(0, n_items - 1), min_size=1,
+                                                max_size=2 * k + 2), min_size=1, max_size=6))
+        # one history longer than the K - 1 profile positions, with repeats
+        histories.append([i % 2 for i in range(k + 1)])
+        items = np.concatenate(histories)
+        indptr = np.concatenate(([0], np.cumsum([len(h) for h in histories])))
+        scores, tau = seqrec.evaluation._block_scorer(model)(items, indptr)
+        assert np.isfinite(tau).all()
+        for row, history in enumerate(histories):
+            exact = model._scores(model._projection(np.array(history)))
+            assert (np.abs(scores[row] - exact) <= tau[row]).all()
+
+    @pytest.mark.parametrize("regime", ["plain", "restored"])
+    @pytest.mark.parametrize("kind", ["svd", "global", "local"])
+    def test_factor_block_holds_no_copy_of_v(self, kind, regime):
+        import tracemalloc
+
+        n_items, r2 = 4000, 64
+        if kind == "svd":
+            counts = np.random.default_rng(3).integers(1, 50, size=n_items)
+            model = SVDModel(v=random_orthonormal(n_items, r2, 0),
+                             scaling=build_scaling(counts, 0.5), regime=regime)
+        else:
+            model = _attention_model(kind, regime, 60, n_items, r2)
+        rng = np.random.default_rng(5)
+        histories = [rng.integers(n_items, size=int(rng.integers(1, 120))) for _ in range(8)]
+        items = np.concatenate(histories)
+        indptr = np.concatenate(([0], np.cumsum([len(h) for h in histories])))
+        tracemalloc.start()
+        try:
+            seqrec.evaluation._block_scorer(model)(items, indptr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.v.nbytes / 2
+        top = seqrec.evaluation._rank_block(model, seqrec.evaluation._block_scorer(model), items,
+                                            indptr[:-1], indptr[1:], 5)
+        for row, history in enumerate(histories):
+            assert top[row].tolist() == predict_next(model, history, 5).tolist()
 
     def test_shuffled_train_log_gives_the_same_tensor_and_report(self):
         train, test = _random_split(6, 23, True)

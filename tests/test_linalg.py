@@ -126,12 +126,12 @@ class TestTruncatedSvd:
     def test_rank_too_large(self, monkeypatch):
         # and ranks below 1 or not integers, on the Gram, exact and PROPACK paths
         y = _implicit_from_dense(np.eye(4))
-        for r, exact in ((5, False), (-1, False), (0, False), (2.0, False),
-                         (-1, True), (0, True), (2.0, True)):
+        for r, exact in ((5, False), (-1, False), (0, False), (2.0, False), (True, False),
+                         (-1, True), (0, True), (2.0, True), (True, True)):
             with pytest.raises(ValueError, match=f"^rank {r} "):
                 truncated_svd(y, r, exact=exact)
         propack_first(monkeypatch)
-        for r in (-1, 0, 2.0):
+        for r in (-1, 0, 2.0, True):
             with pytest.raises(ValueError, match=f"^rank {r} "):
                 truncated_svd(y, r)
 

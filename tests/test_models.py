@@ -131,7 +131,7 @@ class TestPureSVD:
     def test_rank_too_large(self):
         # and ranks below 1 or not integers
         log = make_log([(0, 0, 0), (1, 1, 1)], 2, 3)
-        for r in (3, -1, 0, 2.0):
+        for r in (3, -1, 0, 2.0, True):
             with pytest.raises(ValueError, match=f"rank {r} infeasible"):
                 train_puresvd(log, r=r)
 
@@ -1078,7 +1078,8 @@ class TestPredictNext:
 
     @pytest.mark.parametrize("history, entry", [
         ([1.7], "1.7"), ([True], "True"), (["2"], "'2'"), ([0, 2.0], "2.0"),
-        ([0, "a"], "'a'"), ([np.False_], "False"), (np.array([0.0, 1.5]), "0.0")])
+        ([0, "a"], "'a'"), ([np.False_], "False"), (np.array([0.0, 1.5]), "0.0"),
+        ([2, True], "True"), ([True, 3], "True"), ([2, np.True_], "True")])
     def test_non_integer_ids_rejected(self, history, entry):
         stub = _StubModel(np.array([0.1, 0.9, 0.5]))
         with pytest.raises(ValueError, match=f"history entry .*{re.escape(entry)}") as err:
