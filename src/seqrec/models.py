@@ -680,13 +680,13 @@ def predict_next(model, history, n, exclude_seen=True):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(history, np.ndarray):
+    if isinstance(history, np.ndarray) and history.ndim == 1:
         entries = hist = history
     else:
         entries = list(history)
         hist = np.asarray(entries)
-    # NumPy reads a bool among ints as 0 or 1, so a list that may hold one is scanned
-    if hist.dtype.kind not in "iu" or (entries is not hist and min(entries) <= 1 and not
+    # NumPy reads a bool among ints as 0 or 1, so a list's entry types are scanned
+    if hist.dtype.kind not in "iu" or (entries is not hist and not
                                        {bool, np.bool_}.isdisjoint(map(type, entries))):
         for entry in entries:
             if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):

@@ -1086,6 +1086,11 @@ class TestPredictNext:
             predict_next(stub, history, 2)
         assert not isinstance(err.value, ColdUserError)
 
+    def test_zero_dimensional_array_rejected(self):
+        # only a 1-d array is taken as it is; a 0-d one cannot be iterated
+        with pytest.raises(TypeError):
+            predict_next(_StubModel(np.array([0.1, 0.9, 0.5])), np.array(5), 2)
+
     @pytest.mark.parametrize("history", [
         [np.int32(1), 2], np.array([1, 2], dtype=np.uint8), np.array([[1, 2]]).ravel(),
         (i for i in (1, 2)), [np.int64(1), 2, 7]])
